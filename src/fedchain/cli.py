@@ -9,21 +9,21 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
-from .data import DataFormatError, load_dataset_from_config
+from .data import DataFormatError
 from .federation import (
     DEFAULT_ASSUMPTIONS,
     IO_NOTE,
     MEMORY_PRESETS,
     RUN_MODES,
+    choose_start_layer,
     estimate_peak_memory,
+    profile_clients,
     run,
+    setup,
 )
-from .model import StackDims, build_stack
-from .similarity import aggregate_profiles, profile_layers, select_start_layer
+from .model import StackDims
 from .tensor import NumericError
 
 EXIT_OK = 0
@@ -107,27 +107,14 @@ def _cmd_run(args, mode: str | None = None) -> int:
 
 def _cmd_profile(args) -> int:
     cfg = _load_with_overrides(args)
-    seed = cfg.model.seed
-    dataset = load_dataset_from_config(cfg.data, cfg.model, [seed, 2])
-    dims = StackDims(
-        L=cfg.model.L, u=cfg.model.u, v=cfg.model.v, C=dataset.C, kind=cfg.model.kind,
-        ffn=cfg.model.ffn,
-        vocab=dataset.vocab if dataset.kind == "tokens" else None,
-        feature_dim=dataset.feature_dim if dataset.kind == "features" else None,
-    )
-    stack = build_stack(dims, seed=np.random.SeedSequence([seed, 1]),
-                        init_scale=cfg.model.init_scale,
-                        adapter_activation=cfg.model.adapter_activation)
-    batch = dataset.x[: min(64, len(dataset))]
-    budget = min(cfg.federation.budgets) if cfg.federation.budgets else None
-    profile = aggregate_profiles([profile_layers(stack, batch, budget)])
-    threshold = cfg.chain.T
+    exp = setup(cfg)
+    profile = profile_clients(exp)
+    start_layer, _ = choose_start_layer(cfg, exp, cfg.mode, profile)
     payload = {
         "scores": profile.scores,
         "sample_weight": profile.sample_weight,
-        "threshold": threshold,
-        "start_layer": (select_start_layer(profile, threshold)
-                        if threshold is not None else cfg.chain.L_start),
+        "threshold": cfg.chain.T,
+        "start_layer": start_layer,
     }
     _emit(payload, args.out)
     return EXIT_OK

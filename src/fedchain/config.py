@@ -1,17 +1,26 @@
 """Experiment configuration: JSON loading, validation, round-tripping.
 
-Validation is total: every violation is collected and reported with its
-field path; nothing raises bare KeyErrors or partial state.
+The dataclasses below are the schema: each field's JSON key, type, default,
+required-ness and nullability come from its declaration, and a field's JSON
+key differs from its name only where its metadata says so.  `null` is
+accepted only where the annotation admits `None`.
+
+Validation is total and runs in two passes.  The first reports every
+missing, unknown, null or mistyped field with its path; once the shapes
+are right, the second reports every range and cross-field violation.
+Nothing raises bare KeyErrors or returns partial state.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
-MODES = ("chainfed", "full_adapters", "linear_probing", "no_dlct", "no_gpo", "no_foat")
+from .federation import RUN_MODES
+from .model import ADAPTER_ACTIVATIONS, BACKBONE_KINDS
+
 PARTITIONS = ("dirichlet", "iid")
 SYNTH_KINDS = ("cluster-tokens", "two-moons-seq")
-BACKBONES = ("mlp", "attn-lite")
 
 DEFAULT_LAMBDA = 0.2
 DEFAULT_THRESHOLD = 0.8
@@ -71,7 +80,7 @@ class FederationConfig:
 
 @dataclass
 class ChainConfig:
-    lam: float = DEFAULT_LAMBDA
+    lam: float = field(default=DEFAULT_LAMBDA, metadata={"json": "lambda"})
     T: float | None = None
     L_start: int | None = None
     lr: float = 0.1
@@ -96,106 +105,88 @@ class ExperimentConfig:
     out: OutConfig = field(default_factory=OutConfig)
 
 
-def _take(section: dict, path: str, key: str, kinds, problems, required=False, default=None):
-    if key not in section:
-        if required:
-            problems.append(f"{path}.{key}: required")
-        return default
-    value = section.pop(key)
-    if value is None:
-        if required:
-            problems.append(f"{path}.{key}: required, got null")
-            return default
-        return None
-    if kinds is bool:
-        if not isinstance(value, bool):
-            problems.append(f"{path}.{key}: expected bool, got {value!r}")
-            return default
-        return value
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            problems.append(f"{path}.{key}: expected int, got {value!r}")
-            return default
-        return value
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{path}.{key}: expected number, got {value!r}")
-            return default
+_TYPE_NAMES = {bool: "bool", int: "int", float: "number", str: "string", list: "list"}
+_WRONG = object()
+
+
+def _json_key(f) -> str:
+    return f.metadata.get("json", f.name)
+
+
+def _field_type(hint) -> tuple[type, bool]:
+    """The base type of a field annotation and whether it admits None."""
+    args = get_args(hint)
+    nullable = type(None) in args
+    if nullable:
+        (hint,) = [a for a in args if a is not type(None)]
+    return get_origin(hint) or hint, nullable
+
+
+def _typed(value, kind):
+    """`value` as a `kind`, or _WRONG.  JSON integers are numbers; bools are only bools."""
+    if isinstance(value, bool) != (kind is bool):
+        return _WRONG
+    if kind is float and isinstance(value, int):
         return float(value)
-    if kinds is str:
-        if not isinstance(value, str):
-            problems.append(f"{path}.{key}: expected string, got {value!r}")
-            return default
-        return value
-    if kinds is list:
-        if not isinstance(value, list):
-            problems.append(f"{path}.{key}: expected list, got {value!r}")
-            return default
-        return value
-    raise AssertionError(kinds)
+    return value if isinstance(value, kind) else _WRONG
 
 
-def _leftover(section: dict, path: str, problems):
-    for key in section:
-        problems.append(f"{path}.{key}: unknown field")
+def _parse(cls, raw: dict, path: str, problems: list[str]):
+    """Build `cls` from the JSON object `raw`; None if it added to `problems`."""
+    before = len(problems)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = _json_key(f)
+        where = f"{path}.{key}" if path else key
+        kind, nullable = _field_type(hints[f.name])
+        if key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                problems.append(f"{where}: required")
+            continue
+        value = raw.pop(key)
+        if value is None and nullable:
+            values[f.name] = None
+        elif is_dataclass(kind) and isinstance(value, dict):
+            values[f.name] = _parse(kind, dict(value), where, problems)
+        elif (typed := _typed(value, kind)) is not _WRONG:
+            values[f.name] = typed
+        else:
+            expected = _TYPE_NAMES.get(kind, "an object")
+            problems.append(f"{where}: expected {expected}, got {value!r}")
+    for key in raw:
+        problems.append(f"{path or 'top level'}.{key}: unknown field")
+    return cls(**values) if len(problems) == before else None
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected an object, got {type(raw).__name__}"])
-    raw = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
     problems: list[str] = []
+    cfg = _parse(ExperimentConfig, dict(raw), "", problems)
+    if problems:
+        raise ConfigError(problems)
+    model, data, federation, chain = cfg.model, cfg.data, cfg.federation, cfg.chain
 
-    m = raw.pop("model", None)
-    if not isinstance(m, dict):
-        problems.append("model: required section")
-        m = {}
-    model = ModelConfig(
-        L=_take(m, "model", "L", int, problems, required=True, default=1),
-        u=_take(m, "model", "u", int, problems, required=True, default=2),
-        v=_take(m, "model", "v", int, problems, required=True, default=1),
-        kind=_take(m, "model", "kind", str, problems, default="mlp"),
-        ffn=_take(m, "model", "ffn", int, problems, default=0) or 0,
-        vocab=_take(m, "model", "vocab", int, problems),
-        feature_dim=_take(m, "model", "feature_dim", int, problems),
-        classes=_take(m, "model", "classes", int, problems),
-        seed=_take(m, "model", "seed", int, problems, default=0),
-        init_scale=_take(m, "model", "init_scale", float, problems, default=1.0),
-        adapter_activation=_take(m, "model", "adapter_activation", str, problems, default="gelu"),
-    )
-    _leftover(m, "model", problems)
     if model.L < 1:
         problems.append(f"model.L: must be >= 1, got {model.L}")
+    if model.u < 2:
+        problems.append(f"model.u: must be >= 2, got {model.u}")
     if not 1 <= model.v < max(model.u, 2):
         problems.append(f"model.v: bottleneck must satisfy 1 <= v < u, got v={model.v}, u={model.u}")
-    if model.kind not in BACKBONES:
-        problems.append(f"model.kind: expected one of {BACKBONES}, got {model.kind!r}")
+    if model.kind not in BACKBONE_KINDS:
+        problems.append(f"model.kind: expected one of {tuple(BACKBONE_KINDS)}, got {model.kind!r}")
+    if model.ffn < 0:
+        problems.append(f"model.ffn: must be >= 0 (0 means 2*u), got {model.ffn}")
     if model.vocab is not None and model.feature_dim is not None:
         problems.append("model.vocab / model.feature_dim: at most one may be set")
     if model.classes is not None and model.classes < 2:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
-    if model.init_scale is None or model.init_scale <= 0:
+    if model.init_scale <= 0:
         problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
-    if model.adapter_activation not in ("gelu", "relu", "tanh", "identity"):
+    if model.adapter_activation not in ADAPTER_ACTIVATIONS:
         problems.append(f"model.adapter_activation: unknown activation {model.adapter_activation!r}")
 
-    d = raw.pop("data", None)
-    if not isinstance(d, dict):
-        problems.append("data: required section")
-        d = {}
-    data = DataConfig(
-        source=_take(d, "data", "source", str, problems, default="synthetic"),
-        kind=_take(d, "data", "kind", str, problems, default="cluster-tokens"),
-        M=_take(d, "data", "M", int, problems, default=2000),
-        seq_len=_take(d, "data", "seq_len", int, problems, default=16),
-        eval_fraction=_take(d, "data", "eval_fraction", float, problems, default=0.2),
-        vocab=_take(d, "data", "vocab", int, problems, default=50),
-        signal=_take(d, "data", "signal", float, problems, default=0.35),
-        noise=_take(d, "data", "noise", float, problems, default=0.12),
-        path=_take(d, "data", "path", str, problems),
-        vocab_path=_take(d, "data", "vocab_path", str, problems),
-    )
-    _leftover(d, "data", problems)
     if data.source not in ("synthetic", "file"):
         problems.append(f"data.source: expected 'synthetic' or 'file', got {data.source!r}")
     if data.source == "synthetic":
@@ -213,21 +204,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if data.seq_len < 1:
         problems.append(f"data.seq_len: must be >= 1, got {data.seq_len}")
 
-    f = raw.pop("federation", None)
-    if not isinstance(f, dict):
-        problems.append("federation: required section")
-        f = {}
-    federation = FederationConfig(
-        N=_take(f, "federation", "N", int, problems, required=True, default=1),
-        rounds=_take(f, "federation", "rounds", int, problems, required=True, default=0),
-        partition=_take(f, "federation", "partition", str, problems, default="dirichlet"),
-        alpha=_take(f, "federation", "alpha", float, problems, default=1.0),
-        sample_count=_take(f, "federation", "sample_count", int, problems),
-        sample_fraction=_take(f, "federation", "sample_fraction", float, problems),
-        budgets=_take(f, "federation", "budgets", list, problems),
-        Q=_take(f, "federation", "Q", int, problems),
-    )
-    _leftover(f, "federation", problems)
     if federation.N < 1:
         problems.append(f"federation.N: must be >= 1, got {federation.N}")
     if federation.rounds < 0:
@@ -252,23 +228,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if federation.Q is not None and not 1 <= federation.Q <= model.L:
         problems.append(f"federation.Q: must lie in [1, L={model.L}], got {federation.Q}")
 
-    c = raw.pop("chain", None)
-    if c is None:
-        c = {}
-    if not isinstance(c, dict):
-        problems.append("chain: expected an object")
-        c = {}
-    chain = ChainConfig(
-        lam=_take(c, "chain", "lambda", float, problems, default=DEFAULT_LAMBDA),
-        T=_take(c, "chain", "T", float, problems),
-        L_start=_take(c, "chain", "L_start", int, problems),
-        lr=_take(c, "chain", "lr", float, problems, default=0.1),
-        local_steps=_take(c, "chain", "local_steps", int, problems, default=4),
-        batch=_take(c, "chain", "batch", int, problems, default=32),
-        aux_adapters_trainable=_take(c, "chain", "aux_adapters_trainable", bool, problems, default=False),
-    )
-    _leftover(c, "chain", problems)
-    if chain.lam is None or chain.lam < 0:
+    if chain.lam < 0:
         problems.append(f"chain.lambda: must be >= 0, got {chain.lam}")
     if chain.T is not None and chain.L_start is not None:
         problems.append("chain.T / chain.L_start: exactly one may be set")
@@ -278,34 +238,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"chain.T: must lie in (0, 1], got {chain.T}")
     if chain.L_start is not None and not 1 <= chain.L_start <= model.L:
         problems.append(f"chain.L_start: must lie in [1, L={model.L}], got {chain.L_start}")
-    if chain.lr is None or chain.lr < 0:
+    if chain.lr < 0:
         problems.append(f"chain.lr: must be >= 0, got {chain.lr}")
     if chain.local_steps < 1:
         problems.append(f"chain.local_steps: must be >= 1, got {chain.local_steps}")
     if chain.batch < 1:
         problems.append(f"chain.batch: must be >= 1, got {chain.batch}")
 
-    mode = raw.pop("mode", "chainfed")
-    if mode not in MODES:
-        problems.append(f"mode: expected one of {MODES}, got {mode!r}")
-
-    o = raw.pop("out", None)
-    if o is None:
-        o = {}
-    if not isinstance(o, dict):
-        problems.append("out: expected an object")
-        o = {}
-    out = OutConfig(
-        metrics=_take(o, "out", "metrics", str, problems),
-        checkpoint=_take(o, "out", "checkpoint", str, problems),
-    )
-    _leftover(o, "out", problems)
-    _leftover(raw, "top level", problems)
+    if cfg.mode not in RUN_MODES:
+        problems.append(f"mode: expected one of {RUN_MODES}, got {cfg.mode!r}")
 
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(model=model, data=data, federation=federation,
-                            chain=chain, mode=mode, out=out)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -317,32 +262,10 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
+def config_to_dict(cfg) -> dict:
     """Serializable form; parse_config(config_to_dict(cfg)) is a fixpoint."""
-    m, d, f, c = cfg.model, cfg.data, cfg.federation, cfg.chain
-    out = {
-        "model": {
-            "L": m.L, "u": m.u, "v": m.v, "kind": m.kind, "ffn": m.ffn,
-            "vocab": m.vocab, "feature_dim": m.feature_dim, "classes": m.classes,
-            "seed": m.seed, "init_scale": m.init_scale,
-            "adapter_activation": m.adapter_activation,
-        },
-        "data": {
-            "source": d.source, "kind": d.kind, "M": d.M, "seq_len": d.seq_len,
-            "eval_fraction": d.eval_fraction, "vocab": d.vocab, "signal": d.signal,
-            "noise": d.noise, "path": d.path, "vocab_path": d.vocab_path,
-        },
-        "federation": {
-            "N": f.N, "rounds": f.rounds, "partition": f.partition, "alpha": f.alpha,
-            "sample_count": f.sample_count, "sample_fraction": f.sample_fraction,
-            "budgets": f.budgets, "Q": f.Q,
-        },
-        "chain": {
-            "lambda": c.lam, "T": c.T, "L_start": c.L_start, "lr": c.lr,
-            "local_steps": c.local_steps, "batch": c.batch,
-            "aux_adapters_trainable": c.aux_adapters_trainable,
-        },
-        "mode": cfg.mode,
-        "out": {"metrics": cfg.out.metrics, "checkpoint": cfg.out.checkpoint},
-    }
+    out = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        out[_json_key(f)] = config_to_dict(value) if is_dataclass(value) else value
     return out

@@ -1,10 +1,13 @@
 """Federated orchestration: partitioning, memory accounting, rounds, baselines.
 
-A run proceeds in two phases.  Phase 1 profiles layer similarity on every
-device, aggregates the profiles to pick the start layer, and sizes the
-trainable window from the tightest device memory budget.  Phase 2 runs
-synchronous rounds: sample clients, train the current window locally,
-upload deltas, apply the sample-size-weighted mean to the global model.
+A run sets up (`setup`: data, stack, eval split, client shards), then
+proceeds in two phases.  Phase 1 profiles layer similarity on every
+device's shard, aggregates the profiles to pick the start layer
+(`choose_start_layer`), and sizes the trainable window from the tightest
+device memory budget (`window_size`).  Phase 2 runs synchronous rounds:
+sample clients, train the current window locally, upload deltas, apply
+the sample-size-weighted mean to the global model.  `fedchain profile`
+runs the same set-up and phase 1.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chain import ParamDelta, StageLossConfig, WindowSchedule, local_update
+from .data import Dataset
 from .model import (
     ModelStack,
     StackDims,
@@ -272,6 +276,7 @@ class RunResult:
 RUN_MODES = ("chainfed", "full_adapters", "linear_probing", "no_dlct", "no_gpo", "no_foat")
 
 _SCHEMES = {"full_adapters": "all_adapters", "linear_probing": "final_only"}
+_FROM_LAYER_1 = ("no_foat", "full_adapters", "linear_probing")
 
 
 def _serialized_bytes(delta: ParamDelta) -> int:
@@ -279,22 +284,26 @@ def _serialized_bytes(delta: ParamDelta) -> int:
     return sum(4 * arr.size for arr in delta.values())
 
 
-def _full_serialized_bytes(stack: ModelStack) -> int:
-    return sum(4 * t.size for t in named_parameters(stack).values())
+@dataclass
+class Experiment:
+    """What phase 1 and the rounds share: data, model, eval rows and client shards."""
+
+    dataset: Dataset
+    dims: StackDims
+    stack: ModelStack
+    eval_idx: np.ndarray
+    clients: list[ClientProfile]
+
+    @property
+    def seq_len(self) -> int:
+        return self.dataset.x.shape[1] if self.dataset.kind == "tokens" else 1
 
 
-def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
-        checkpoint_path=None, progress=None) -> RunResult:
-    """Execute a federated experiment; see config.ExperimentConfig for knobs."""
-    from .config import ExperimentConfig  # local import to keep layering acyclic
+def setup(cfg, dataset=None) -> Experiment:
+    """Load the data, build the stack, split off the eval rows, shard the rest."""
     from .data import load_dataset_from_config, train_eval_split
 
-    assert isinstance(cfg, ExperimentConfig)
-    mode = mode or cfg.mode
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown run mode {mode!r}")
     seed = cfg.model.seed
-
     if dataset is None:
         dataset = load_dataset_from_config(cfg.data, cfg.model, [seed, _TAG_DATA])
     dims = StackDims(
@@ -318,29 +327,59 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     budgets = fed.budgets if fed.budgets is not None else [None] * fed.N
     clients = [ClientProfile(id=i, mem_budget=budgets[i], shard=train_idx[local_shards[i]])
                for i in range(fed.N)]
+    return Experiment(dataset, dims, stack, eval_idx, clients)
 
-    seq_len = dataset.x.shape[1] if dataset.kind == "tokens" else 1
 
-    # Phase 1: start layer from aggregated similarity profiles, Q from budgets
-    profile = None
-    if mode in ("no_foat", "full_adapters", "linear_probing"):
-        L_start = 1
-    elif cfg.chain.L_start is not None:
-        L_start = cfg.chain.L_start
-    else:
-        per_client = []
-        for c in clients:
-            take = c.shard[: min(64, len(c.shard))]
-            per_client.append(profile_layers(stack, dataset.x[take], c.mem_budget))
-        profile = aggregate_profiles(per_client)
-        L_start = select_start_layer(profile, cfg.chain.T)
+def profile_clients(exp: Experiment) -> CKAProfile:
+    """Each client profiles the first 64 rows of its own shard under its own budget."""
+    per_client = []
+    for c in exp.clients:
+        take = c.shard[: min(64, len(c.shard))]
+        per_client.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
+    return aggregate_profiles(per_client)
+
+
+def choose_start_layer(cfg, exp: Experiment, mode: str,
+                       profile: CKAProfile | None = None) -> tuple[int, CKAProfile | None]:
+    """Phase 1: the first trainable layer, and the profile it was read from.
+
+    Clients profile only when the mode and the config leave the start layer
+    to CKA; a `profile` passed in is used instead of profiling again.
+    """
+    if mode in _FROM_LAYER_1:
+        return 1, profile
+    if cfg.chain.L_start is not None:
+        return cfg.chain.L_start, profile
+    if profile is None:
+        profile = profile_clients(exp)
+    return select_start_layer(profile, cfg.chain.T), profile
+
+
+def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
+    """Phase 1: the one Q all devices share, sized for the tightest budget."""
     if mode == "no_dlct":
-        Q = 1
-    elif fed.Q is not None:
-        Q = min(fed.Q, dims.L - L_start + 1)
-    else:
-        Q = determine_Q(min(fed.budgets), dims, cfg.chain.batch, seq_len, L_start=L_start)
+        return 1
+    if cfg.federation.Q is not None:
+        return min(cfg.federation.Q, exp.dims.L - L_start + 1)
+    return determine_Q(min(cfg.federation.budgets), exp.dims, cfg.chain.batch, exp.seq_len,
+                       L_start=L_start)
 
+
+def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
+        checkpoint_path=None, progress=None) -> RunResult:
+    """Execute a federated experiment; see config.ExperimentConfig for knobs."""
+    from .config import ExperimentConfig  # local import to keep layering acyclic
+
+    assert isinstance(cfg, ExperimentConfig)
+    mode = mode or cfg.mode
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown run mode {mode!r}")
+    exp = setup(cfg, dataset)
+    L_start, profile = choose_start_layer(cfg, exp, mode)
+    Q = window_size(cfg, exp, mode, L_start)
+
+    seed, fed = cfg.model.seed, cfg.federation
+    dataset, dims, stack, eval_idx = exp.dataset, exp.dims, exp.stack, exp.eval_idx
     schedule = WindowSchedule(L_start, dims.L, Q)
     stage_cfg = StageLossConfig(
         lam=0.0 if mode == "no_gpo" else cfg.chain.lam,
@@ -350,9 +389,9 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     sample_count = fed.resolved_sample_count()
 
     if scheme == "window":
-        peak = estimate_peak_memory(dims, cfg.chain.batch, seq_len, Q=Q).peak_bytes
+        peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q).peak_bytes
     else:
-        peak = estimate_peak_memory(dims, cfg.chain.batch, seq_len, mode="full").peak_bytes
+        peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, mode="full").peak_bytes
 
     mutable = _mutable_parameters(stack)
     records: list[RoundRecord] = []
@@ -366,7 +405,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
             for cid in participants:
                 for name, t in mutable.items():
                     t.data = snapshot[name].copy()
-                shard = clients[cid].shard
+                shard = exp.clients[cid].shard
                 delta, info = local_update(
                     stack, dataset.x[shard], dataset.y[shard], window, stage_cfg,
                     steps=cfg.chain.local_steps, lr=cfg.chain.lr,
@@ -402,7 +441,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
 
         save_checkpoint(stack, checkpoint_path)
     return RunResult(records=records, stack=stack, L_start=L_start, Q=Q,
-                     profile=profile, clients=clients)
+                     profile=profile, clients=exp.clients)
 
 
 def _mutable_parameters(stack: ModelStack) -> dict:
@@ -413,6 +452,4 @@ def _mutable_parameters(stack: ModelStack) -> dict:
 
 def run_baseline(cfg, mode: str, **kwargs) -> RunResult:
     """Run an ablation or baseline under the same config and seed."""
-    if mode not in RUN_MODES:
-        raise ValueError(f"unknown baseline mode {mode!r}")
     return run(cfg, mode=mode, **kwargs)

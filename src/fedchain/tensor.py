@@ -34,7 +34,6 @@ __all__ = [
     "sum_all",
     "reshape",
     "swap_last2",
-    "POINTWISE",
 ]
 
 
@@ -257,9 +256,6 @@ def tanh(x: Tensor) -> Tensor:
         return (g * (1.0 - value**2),)
 
     return _emit(value, (x,), grad_fn)
-
-
-POINTWISE = {"add": add, "mul": mul, "relu": relu, "gelu": gelu, "tanh": tanh}
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:

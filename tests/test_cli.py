@@ -6,6 +6,8 @@ import pytest
 
 from fedchain.checkpoint import load_checkpoint
 from fedchain.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from fedchain.config import load_config
+from fedchain.federation import run
 
 
 @pytest.fixture
@@ -91,6 +93,24 @@ def test_profile_reports_scores_and_start_layer(config_path, capsys):
     assert payload["sample_weight"] > 0
 
 
+def test_profile_agrees_with_run(tmp_path, capsys):
+    # non-IID shards: profiling each client's shard differs from profiling the pooled data
+    cfg = {
+        "model": {"L": 6, "u": 16, "v": 4, "seed": 0},
+        "data": {"kind": "cluster-tokens", "M": 400, "seq_len": 8, "vocab": 30},
+        "federation": {"N": 8, "rounds": 0, "partition": "dirichlet", "alpha": 0.1,
+                       "sample_count": 4, "Q": 2},
+        "chain": {"T": 0.93},
+    }
+    path = tmp_path / "noniid.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["profile", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    result = run(load_config(path))
+    assert payload["scores"] == result.profile.scores
+    assert payload["start_layer"] == result.L_start
+
+
 def test_report_memory_preset(capsys):
     code = main(["report-memory", "--preset", "llama2-7b-shaped", "--q", "6", "7", "8"])
     assert code == EXIT_OK
@@ -138,6 +158,11 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     both.write_text(json.dumps(raw))
     assert main(["run", "--config", str(both)]) == EXIT_CONFIG
     assert main(["run", "--config", str(config_path), "--rounds", "-3"]) == EXIT_CONFIG
+    raw = json.loads(config_path.read_text())
+    raw["model"].update(u=1, v=1)
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(narrow)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "fedchain:" in err
 

@@ -99,6 +99,20 @@ def test_config_field_validation():
         (dict(chain={"L_start": 9, "T": None}), "chain.L_start"),
         (dict(chain={"lr": -0.1}), "chain.lr"),
         (dict(mode="fedavg"), "mode"),
+        (dict(model={"u": 1, "v": 1}), "model.u"),
+        (dict(model={"ffn": -4}), "model.ffn"),
+        (dict(model={"seed": None}), "model.seed"),
+        (dict(model={"ffn": None}), "model.ffn"),
+        (dict(data={"M": None}), "data.M"),
+        (dict(data={"seq_len": None}), "data.seq_len"),
+        (dict(data={"eval_fraction": None}), "data.eval_fraction"),
+        (dict(data={"vocab": None}), "data.vocab"),
+        (dict(data={"signal": None}), "data.signal"),
+        (dict(data={"noise": None}), "data.noise"),
+        (dict(federation={"alpha": None}), "federation.alpha"),
+        (dict(chain={"local_steps": None}), "chain.local_steps"),
+        (dict(chain={"batch": None}), "chain.batch"),
+        (dict(chain={"aux_adapters_trainable": None}), "chain.aux_adapters_trainable"),
     ]:
         with pytest.raises(ConfigError, match=needle):
             parse_config(_raw(**over))
