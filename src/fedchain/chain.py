@@ -25,8 +25,6 @@ from .tensor import Tape, Tensor, add, mul
 
 ParamDelta = dict[str, np.ndarray]
 
-STAGE_MODES = ("dual", "end_to_end")
-
 
 @dataclass(frozen=True)
 class WindowSchedule:
@@ -61,14 +59,10 @@ class WindowSchedule:
 @dataclass
 class StageLossConfig:
     lam: float = 0.2
-    mode: str = "dual"
-    aux_adapters_trainable: bool = False  # escape hatch; default keeps the branch frozen
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.mode not in STAGE_MODES:
-            raise ValueError(f"mode must be one of {STAGE_MODES}, got {self.mode!r}")
 
 
 def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
@@ -78,7 +72,7 @@ def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
     if not 1 <= lo <= hi <= stack.L:
         raise ValueError(f"window {window} out of range 1..{stack.L}")
     hidden, _ = forward_through(stack, x, upto=hi, active_set=range(lo, hi + 1))
-    if hi == stack.L or cfg.mode == "end_to_end":
+    if hi == stack.L:
         loss = end_to_end_loss(stack, hidden, labels)
         return loss, {"mode": "end_to_end", "total": loss.item(),
                       "local": None, "global": None}
@@ -90,19 +84,6 @@ def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
     loss = add(local, mul(glob, cfg.lam))
     return loss, {"mode": "dual", "total": loss.item(),
                   "local": local.item(), "global": glob.item()}
-
-
-def _stage_trainable(stack: ModelStack, window: tuple[int, int], cfg: StageLossConfig,
-                     scheme: str):
-    trainable = mark_trainable(stack, window if scheme == "window" else None, scheme)
-    if scheme == "window" and cfg.aux_adapters_trainable:
-        for j in range(window[1] + 1, stack.L + 1):
-            unit = stack.units[j - 1]
-            for key, t in ((f"layer.{j}.adapter.down", unit.adapter.down),
-                           (f"layer.{j}.adapter.up", unit.adapter.up)):
-                t.requires_grad = True
-                trainable[key] = t
-    return trainable
 
 
 def _baseline_stage_loss(stack: ModelStack, x, labels, scheme: str) -> tuple[Tensor, dict]:
@@ -143,7 +124,7 @@ def local_update(stack: ModelStack, x, labels, window: tuple[int, int],
     if steps < 1 or lr < 0 or batch_size < 1:
         raise ValueError(f"bad update settings steps={steps}, lr={lr}, batch={batch_size}")
     batch_size = min(batch_size, n)
-    trainable = _stage_trainable(stack, window, cfg, scheme)
+    trainable = mark_trainable(stack, window, scheme)
     pre = {name: t.data.copy() for name, t in trainable.items()}
     losses = []
     for idx in minibatch_order(n, batch_size, steps, seed):

@@ -71,14 +71,17 @@ def load_checkpoint(base) -> ModelStack:
     if not lines:
         raise CheckpointError(f"{_manifest_path(base)}: empty manifest")
     meta = _parse_header(lines[0])
-    dims = StackDims(
-        L=int(meta["L"]), u=int(meta["u"]), v=int(meta["v"]), C=int(meta["C"]),
-        kind=meta["kind"], ffn=int(meta["ffn"]),
-        vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
-        feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
-    )
-    stack = build_stack(dims, seed=0, adapter_activation=meta["adapter_act"],
-                        eps=float(meta["eps"]))
+    try:
+        dims = StackDims(
+            L=int(meta["L"]), u=int(meta["u"]), v=int(meta["v"]), C=int(meta["C"]),
+            kind=meta["kind"], ffn=int(meta["ffn"]),
+            vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
+            feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
+        )
+        stack = build_stack(dims, seed=0, adapter_activation=meta["adapter_act"],
+                            eps=float(meta["eps"]))
+    except ValueError as e:
+        raise CheckpointError(f"bad manifest header: {e}") from e
     params = named_parameters(stack)
 
     with open(_blob_path(base), "rb") as fh:
@@ -94,10 +97,13 @@ def load_checkpoint(base) -> ModelStack:
             raise CheckpointError(f"unknown tensor name {name!r}")
         if dtype != "f32":
             raise CheckpointError(f"{name}: unsupported dtype {dtype!r}")
-        shape = tuple(int(d) for d in shape_s.split("x"))
+        try:
+            shape = tuple(int(d) for d in shape_s.split("x"))
+            offset = int(offset_s)
+        except ValueError as e:
+            raise CheckpointError(f"malformed manifest line: {line!r}") from e
         if shape != params[name].shape:
             raise CheckpointError(f"{name}: shape {shape} does not match model {params[name].shape}")
-        offset = int(offset_s)
         nbytes = 4 * int(np.prod(shape))
         if offset < 0 or offset + nbytes > len(blob):
             raise CheckpointError(

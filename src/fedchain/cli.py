@@ -24,7 +24,7 @@ from .federation import (
     setup,
 )
 from .model import StackDims
-from .tensor import NumericError
+from .tensor import NumericError, ShapeMismatch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,15 +169,17 @@ def main(argv=None) -> int:
         if args.command == "report-memory":
             return _cmd_report_memory(args)
         parser.error(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"fedchain: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericError as e:
         print(f"fedchain: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, CheckpointError, DataFormatError) as e:
         print(f"fedchain: i/o failure: {e}", file=sys.stderr)
         return EXIT_IO
+    except ShapeMismatch:
+        raise
+    except ValueError as e:  # ConfigError, or a library check on a value the config set
+        print(f"fedchain: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -16,11 +16,9 @@ import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
-from .federation import RUN_MODES
+from .data import SYNTH_KINDS
+from .federation import PARTITIONS, RUN_MODES
 from .model import ADAPTER_ACTIVATIONS, BACKBONE_KINDS
-
-PARTITIONS = ("dirichlet", "iid")
-SYNTH_KINDS = ("cluster-tokens", "two-moons-seq")
 
 DEFAULT_LAMBDA = 0.2
 DEFAULT_THRESHOLD = 0.8
@@ -86,7 +84,6 @@ class ChainConfig:
     lr: float = 0.1
     local_steps: int = 4
     batch: int = 32
-    aux_adapters_trainable: bool = False
 
 
 @dataclass
@@ -246,7 +243,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"chain.batch: must be >= 1, got {chain.batch}")
 
     if cfg.mode not in RUN_MODES:
-        problems.append(f"mode: expected one of {RUN_MODES}, got {cfg.mode!r}")
+        problems.append(f"mode: expected one of {tuple(RUN_MODES)}, got {cfg.mode!r}")
 
     if problems:
         raise ConfigError(problems)

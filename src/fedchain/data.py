@@ -14,6 +14,7 @@ import numpy as np
 
 PAD_ID = 0
 UNK_ID = 1
+SYNTH_KINDS = ("cluster-tokens", "two-moons-seq")  # what `synth_dataset` generates
 
 
 class DataFormatError(ValueError):

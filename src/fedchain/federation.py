@@ -43,6 +43,7 @@ MEMORY_PRESETS = {
 }
 
 IO_NOTE = "block load/evict I/O assumed overlapped with compute; latency not modeled"
+PARTITIONS = ("dirichlet", "iid")  # how `setup` shards the training rows
 
 # seed-derivation tags; one master seed drives every stochastic choice
 _TAG_STACK, _TAG_DATA, _TAG_SPLIT, _TAG_PARTITION, _TAG_SAMPLE, _TAG_UPDATE = 1, 2, 3, 4, 5, 6
@@ -155,21 +156,20 @@ def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | Non
     Local heads are negligible (u*C + C per layer) and excluded; the trainable
     set counted is window adapters plus the final head.  Chain mode keeps the
     Q-layer window plus one streaming block resident; everything earlier is
-    transient (recomputed or evicted after consumption).
+    transient (recomputed or evicted after consumption).  Full mode is the
+    chain with one window over the whole stack, Q = L.
     """
     if mode not in ("chain", "full"):
         raise ValueError(f"mode must be 'chain' or 'full', got {mode!r}")
     if batch < 1 or seq_len < 1:
         raise ValueError(f"bad batch={batch} / seq_len={seq_len}")
-    p, k = precision_bytes, optimizer_multiplier
     if mode == "full":
-        resident_layers, live_layers = dims.L, dims.L + 1
-        trainable = dims.L * adapter_param_count(dims) + head_param_count(dims)
-    else:
-        if Q is None or not 1 <= Q <= dims.L:
-            raise ValueError(f"chain mode needs Q in [1, {dims.L}], got {Q}")
-        resident_layers, live_layers = min(Q + 1, dims.L), Q + 1
-        trainable = Q * adapter_param_count(dims) + head_param_count(dims)
+        Q = dims.L
+    if Q is None or not 1 <= Q <= dims.L:
+        raise ValueError(f"chain mode needs Q in [1, {dims.L}], got {Q}")
+    p, k = precision_bytes, optimizer_multiplier
+    resident_layers, live_layers = min(Q + 1, dims.L), Q + 1
+    trainable = Q * adapter_param_count(dims) + head_param_count(dims)
     return MemReport(
         params_bytes=p * (embed_param_count(dims) + resident_layers * layer_param_count(dims)),
         activation_bytes=p * batch * seq_len * dims.u * live_layers,
@@ -179,14 +179,11 @@ def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | Non
 
 
 def determine_Q(min_budget: float, dims: StackDims, batch: int, seq_len: int,
-                L_start: int = 1, precision_bytes: int = PRECISION_BYTES,
-                optimizer_multiplier: int = OPTIMIZER_MULTIPLIER) -> int:
+                L_start: int = 1) -> int:
     """Largest window size whose chain-mode peak fits the tightest budget."""
     span = dims.L - L_start + 1
     for q in range(span, 0, -1):
-        report = estimate_peak_memory(dims, batch, seq_len, Q=q,
-                                      precision_bytes=precision_bytes,
-                                      optimizer_multiplier=optimizer_multiplier)
+        report = estimate_peak_memory(dims, batch, seq_len, Q=q)
         if report.peak_bytes <= min_budget:
             return q
     raise ValueError(
@@ -273,10 +270,28 @@ class RunResult:
         return self.records[-1].eval_accuracy if self.records else float("nan")
 
 
-RUN_MODES = ("chainfed", "full_adapters", "linear_probing", "no_dlct", "no_gpo", "no_foat")
+@dataclass(frozen=True)
+class RunMode:
+    """What a run mode keeps of ChainFed's three techniques.
 
-_SCHEMES = {"full_adapters": "all_adapters", "linear_probing": "final_only"}
-_FROM_LAYER_1 = ("no_foat", "full_adapters", "linear_probing")
+    Only the "window" scheme slides: a baseline's scheme trains past any
+    window, so it runs as the chain with one window over the whole stack.
+    """
+
+    scheme: str  # the trainable set, as model.mark_trainable names it
+    foat: bool = True  # function-oriented adaptive tuning: CKA start layer, else layer 1
+    dlct: bool = True  # dynamic layer co-tuning: a Q-layer window, else Q = 1
+    gpo: bool = True  # globally perceptive optimization: lambda-weighted global loss, else 0
+
+
+RUN_MODES = {
+    "chainfed": RunMode("window"),
+    "full_adapters": RunMode("all_adapters", foat=False, dlct=False, gpo=False),
+    "linear_probing": RunMode("final_only", foat=False, dlct=False, gpo=False),
+    "no_dlct": RunMode("window", dlct=False),
+    "no_gpo": RunMode("window", gpo=False),
+    "no_foat": RunMode("window", foat=False),
+}
 
 
 def _serialized_bytes(delta: ParamDelta) -> int:
@@ -346,7 +361,7 @@ def choose_start_layer(cfg, exp: Experiment, mode: str,
     Clients profile only when the mode and the config leave the start layer
     to CKA; a `profile` passed in is used instead of profiling again.
     """
-    if mode in _FROM_LAYER_1:
+    if not RUN_MODES[mode].foat:
         return 1, profile
     if cfg.chain.L_start is not None:
         return cfg.chain.L_start, profile
@@ -357,10 +372,14 @@ def choose_start_layer(cfg, exp: Experiment, mode: str,
 
 def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
     """Phase 1: the one Q all devices share, sized for the tightest budget."""
-    if mode == "no_dlct":
+    span = exp.dims.L - L_start + 1
+    keeps = RUN_MODES[mode]
+    if keeps.scheme != "window":  # a baseline trains the whole span as its one window
+        return span
+    if not keeps.dlct:
         return 1
     if cfg.federation.Q is not None:
-        return min(cfg.federation.Q, exp.dims.L - L_start + 1)
+        return min(cfg.federation.Q, span)
     return determine_Q(min(cfg.federation.budgets), exp.dims, cfg.chain.batch, exp.seq_len,
                        L_start=L_start)
 
@@ -381,24 +400,16 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     seed, fed = cfg.model.seed, cfg.federation
     dataset, dims, stack, eval_idx = exp.dataset, exp.dims, exp.stack, exp.eval_idx
     schedule = WindowSchedule(L_start, dims.L, Q)
-    stage_cfg = StageLossConfig(
-        lam=0.0 if mode == "no_gpo" else cfg.chain.lam,
-        aux_adapters_trainable=cfg.chain.aux_adapters_trainable,
-    )
-    scheme = _SCHEMES.get(mode, "window")
+    stage_cfg = StageLossConfig(lam=cfg.chain.lam if RUN_MODES[mode].gpo else 0.0)
     sample_count = fed.resolved_sample_count()
-
-    if scheme == "window":
-        peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q).peak_bytes
-    else:
-        peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, mode="full").peak_bytes
+    peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q).peak_bytes
 
     mutable = _mutable_parameters(stack)
     records: list[RoundRecord] = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
         for r in range(1, fed.rounds + 1):
-            window = schedule.window_at_round(r) if scheme == "window" else (1, dims.L)
+            window = schedule.window_at_round(r)
             participants = sample_clients(fed.N, sample_count, r, seed)
             snapshot = {name: t.data.copy() for name, t in mutable.items()}
             deltas, sizes, losses = [], [], []
@@ -410,7 +421,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
                     stack, dataset.x[shard], dataset.y[shard], window, stage_cfg,
                     steps=cfg.chain.local_steps, lr=cfg.chain.lr,
                     batch_size=cfg.chain.batch, seed=[seed, _TAG_UPDATE, r, cid],
-                    scheme=scheme,
+                    scheme=RUN_MODES[mode].scheme,
                 )
                 deltas.append(delta)
                 sizes.append(len(shard))

@@ -383,36 +383,27 @@ TRAINABLE_SCHEMES = ("window", "all_adapters", "final_only")
 
 def mark_trainable(stack: ModelStack, window: tuple[int, int] | None = None,
                    scheme: str = "window") -> dict[str, Tensor]:
-    """Set requires_grad flags for one training stage; returns the trainable map."""
+    """Set requires_grad flags for one training stage; returns the trainable map.
+
+    Every scheme trains the final head.  "window" adds the adapters and local
+    heads of layers lo..hi, "all_adapters" every adapter, "final_only" nothing.
+    """
     if scheme not in TRAINABLE_SCHEMES:
         raise ValueError(f"unknown trainable scheme {scheme!r}")
-    for i, unit in enumerate(stack.units, start=1):
-        for t in (unit.adapter.down, unit.adapter.up, unit.head.W, unit.head.b):
-            t.requires_grad = False
-            t.grad = None
-    for t in (stack.final_head.W, stack.final_head.b):
-        t.requires_grad = False
-        t.grad = None
-
-    trainable: dict[str, Tensor] = {}
+    prefixes: tuple[str, ...] = ()
     if scheme == "window":
         if window is None:
             raise ValueError("window scheme needs a (lo, hi) window")
         lo, hi = window
         if not 1 <= lo <= hi <= stack.L:
             raise ValueError(f"window {window} out of range 1..{stack.L}")
-        for i in range(lo, hi + 1):
-            unit = stack.units[i - 1]
-            trainable[f"layer.{i}.adapter.down"] = unit.adapter.down
-            trainable[f"layer.{i}.adapter.up"] = unit.adapter.up
-            trainable[f"layer.{i}.head.W"] = unit.head.W
-            trainable[f"layer.{i}.head.b"] = unit.head.b
+        prefixes = tuple(f"layer.{i}." for i in range(lo, hi + 1))
     elif scheme == "all_adapters":
-        for i, unit in enumerate(stack.units, start=1):
-            trainable[f"layer.{i}.adapter.down"] = unit.adapter.down
-            trainable[f"layer.{i}.adapter.up"] = unit.adapter.up
-    trainable["final_head.W"] = stack.final_head.W
-    trainable["final_head.b"] = stack.final_head.b
-    for t in trainable.values():
-        t.requires_grad = True
+        prefixes = tuple(f"layer.{i}.adapter." for i in range(1, stack.L + 1))
+    trainable: dict[str, Tensor] = {}
+    for name, t in named_parameters(stack).items():
+        t.requires_grad = name.startswith(("final_head.", *prefixes))
+        t.grad = None
+        if t.requires_grad:
+            trainable[name] = t
     return trainable

@@ -1,0 +1,57 @@
+"""The names the benchmark harness under perfbench/ attaches to keep resolving.
+
+The harness traces a run by replacing functions at the names fedchain's
+modules look them up under, and its worker calls a few functions with
+fixed keywords.  Renaming any of them should fail here, in seconds, rather
+than only in the harness's own smoke check.
+"""
+import dataclasses
+import importlib.util
+import inspect
+from pathlib import Path
+
+import fedchain
+from fedchain import RunResult, StageLossConfig, StackDims, estimate_peak_memory, local_update
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_patch():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patched)  # restore() empties it
+        assert patched
+        for module, attr, original in patched:
+            assert module.__name__.startswith("fedchain.")
+            assert getattr(module, attr) is not original
+        names = {(module.__name__, attr) for module, attr, _ in patched}
+        for name in ("stage_loss", "_baseline_stage_loss", "forward_through",
+                     "aux_branch_forward"):
+            assert ("fedchain.chain", name) in names
+        assert ("fedchain.federation", "local_update") in names
+        # the tracer skips an op neither module binds; every op it times must be bound
+        for op in tracing.OPS:
+            assert ("fedchain.model", op) in names or ("fedchain.chain", op) in names, op
+    finally:
+        tracer.restore()
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original
+
+
+def test_worker_calls_keep_their_keywords():
+    assert "scheme" in inspect.signature(local_update).parameters
+    dims = StackDims(L=3, u=8, v=2, C=2, vocab=13)
+    full = estimate_peak_memory(dims, 4, 6, mode="full")
+    assert full.peak_bytes == estimate_peak_memory(dims, 4, 6, Q=dims.L).peak_bytes
+    assert StageLossConfig(lam=0.3).lam == 0.3
+    assert {"L_start", "Q", "stack"} <= {f.name for f in dataclasses.fields(RunResult)}
+    assert fedchain.federation.local_update is local_update

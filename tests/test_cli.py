@@ -7,7 +7,7 @@ import pytest
 from fedchain.checkpoint import load_checkpoint
 from fedchain.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedchain.config import load_config
-from fedchain.federation import run
+from fedchain.federation import RUN_MODES, run
 
 
 @pytest.fixture
@@ -81,6 +81,26 @@ def test_baseline_modes(config_path, capsys):
     with pytest.raises(SystemExit) as exc:  # chainfed is not a baseline
         main(["baseline", "--config", str(config_path), "--mode", "chainfed"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", list(RUN_MODES))
+def test_every_run_mode_runs_through_the_cli(config_path, capsys, mode):
+    command = ["run"] if mode == "chainfed" else ["baseline", "--mode", mode]
+    assert main([*command, "--config", str(config_path), "--rounds", "1"]) == EXIT_OK
+    summary, _ = _stderr_summary(capsys)
+    assert summary["mode"] == mode and summary["rounds"] == 1
+
+
+@pytest.mark.parametrize("mode", ["full_adapters", "linear_probing"])
+def test_baselines_ignore_budgets_and_train_the_whole_stack(config_path, tmp_path, capsys, mode):
+    raw = json.loads(config_path.read_text())
+    raw["federation"].update(Q=None, budgets=[1e3, 1e3, 1e3])  # below every chain window's peak
+    path = tmp_path / "tiny_budgets.json"
+    path.write_text(json.dumps(raw))
+    assert main(["baseline", "--mode", mode, "--config", str(path), "--rounds", "1"]) == EXIT_OK
+    summary, stdout = _stderr_summary(capsys)
+    assert summary["L_start"] == 1 and summary["Q"] == raw["model"]["L"]
+    assert json.loads(stdout)["window"] == [1, raw["model"]["L"]]
 
 
 def test_profile_reports_scores_and_start_layer(config_path, capsys):
@@ -165,6 +185,20 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(narrow)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "fedchain:" in err
+    # checks the library makes while setting up and profiling, for run and profile alike
+    raw = json.loads(config_path.read_text())
+    raw["federation"].update(Q=None, budgets=[1e4, 1e9, 1e9])  # below the profiling floor
+    raw["chain"].update(L_start=None, T=0.9)
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(raw))
+    raw = json.loads(config_path.read_text())
+    raw["federation"]["N"] = 70  # more clients than training rows
+    crowded = tmp_path / "crowded.json"
+    crowded.write_text(json.dumps(raw))
+    for path, message in ((tight, "below single-layer floor"), (crowded, "cannot split")):
+        for command in ("run", "profile"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
 
 
 def test_missing_files_exit_4(config_path, tmp_path, capsys):

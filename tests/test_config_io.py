@@ -350,3 +350,11 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
     (tmp_path / "ckpt.manifest").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(base)
+
+    # non-integer header field, shape and offset
+    for bad in (manifest.replace(" L=2 ", " L=x ", 1), manifest.replace("\t8x2\t", "\t9xq\t", 1),
+                manifest.replace("\tf32\t0\n", "\tf32\tabc\n", 1)):
+        assert bad != manifest
+        (tmp_path / "ckpt.manifest").write_text(bad)
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(base)

@@ -379,6 +379,7 @@ def test_run_baseline_schemes_use_full_residency_and_fixed_window():
     full_peak = estimate_peak_memory(dims, 16, 6, mode="full").peak_bytes
     assert all(rec.peak_mem_bytes == full_peak for rec in res.records)
     assert all(rec.window == (1, 4) for rec in res.records)
+    assert res.Q == dims.L
     probe = run_baseline(cfg, mode="linear_probing")
     # final head only: 2 tensors on the wire
     head = dims.u * dims.C + dims.C
