@@ -20,6 +20,7 @@ import numpy as np
 from .chain import ParamDelta, StageLossConfig, WindowSchedule, local_update
 from .data import Dataset
 from .model import (
+    TRAINABLE_SCHEMES,
     ModelStack,
     StackDims,
     build_stack,
@@ -150,17 +151,22 @@ class MemReport:
 
 def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | None = None,
                          mode: str = "chain", precision_bytes: int = PRECISION_BYTES,
-                         optimizer_multiplier: int = OPTIMIZER_MULTIPLIER) -> MemReport:
+                         optimizer_multiplier: int = OPTIMIZER_MULTIPLIER,
+                         scheme: str = "window") -> MemReport:
     """Closed-form per-device peak for one training step.
 
     Local heads are negligible (u*C + C per layer) and excluded; the trainable
-    set counted is window adapters plus the final head.  Chain mode keeps the
-    Q-layer window plus one streaming block resident; everything earlier is
+    set counted is the final head plus the adapters the trainable scheme (as
+    model.mark_trainable names it) trains: the Q window adapters, all L
+    ("all_adapters") or none ("final_only").  Chain mode keeps the Q-layer
+    window plus one streaming block resident; everything earlier is
     transient (recomputed or evicted after consumption).  Full mode is the
     chain with one window over the whole stack, Q = L.
     """
     if mode not in ("chain", "full"):
         raise ValueError(f"mode must be 'chain' or 'full', got {mode!r}")
+    if scheme not in TRAINABLE_SCHEMES:
+        raise ValueError(f"unknown trainable scheme {scheme!r}")
     if batch < 1 or seq_len < 1:
         raise ValueError(f"bad batch={batch} / seq_len={seq_len}")
     if mode == "full":
@@ -169,7 +175,8 @@ def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | Non
         raise ValueError(f"chain mode needs Q in [1, {dims.L}], got {Q}")
     p, k = precision_bytes, optimizer_multiplier
     resident_layers, live_layers = min(Q + 1, dims.L), Q + 1
-    trainable = Q * adapter_param_count(dims) + head_param_count(dims)
+    adapters = {"window": Q, "all_adapters": dims.L, "final_only": 0}[scheme]
+    trainable = adapters * adapter_param_count(dims) + head_param_count(dims)
     return MemReport(
         params_bytes=p * (embed_param_count(dims) + resident_layers * layer_param_count(dims)),
         activation_bytes=p * batch * seq_len * dims.u * live_layers,
@@ -402,7 +409,8 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     schedule = WindowSchedule(L_start, dims.L, Q)
     stage_cfg = StageLossConfig(lam=cfg.chain.lam if RUN_MODES[mode].gpo else 0.0)
     sample_count = fed.resolved_sample_count()
-    peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q).peak_bytes
+    peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q,
+                                scheme=RUN_MODES[mode].scheme).peak_bytes
 
     mutable = _mutable_parameters(stack)
     records: list[RoundRecord] = []

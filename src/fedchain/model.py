@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    ACTIVATIONS,
     ShapeMismatch,
     Tensor,
+    adapter_chain,
     add,
     bias_add,
     gelu,
@@ -23,15 +25,13 @@ from .tensor import (
     mean,
     mul,
     no_grad,
-    relu,
     reshape,
     softmax,
     softmax_cross_entropy,
     swap_last2,
-    tanh,
 )
 
-ADAPTER_ACTIVATIONS = {"gelu": gelu, "relu": relu, "tanh": tanh, "identity": None}
+ADAPTER_ACTIVATIONS = tuple(ACTIVATIONS)
 
 
 @dataclass
@@ -56,17 +56,13 @@ def init_adapter(u: int, v: int, seed, activation: str = "gelu") -> AdapterParam
     return AdapterParams(down, up, activation)
 
 
+def _adapters(h: Tensor, adapters: list[AdapterParams]) -> Tensor:
+    """The adapters applied in order, as one tape node (see tensor.adapter_chain)."""
+    return adapter_chain(h, [(a.down, a.up, a.activation) for a in adapters])
+
+
 def adapter_forward(h: Tensor, adapter: AdapterParams) -> Tensor:
-    u = adapter.down.shape[0]
-    if h.shape[-1] != u:
-        raise ShapeMismatch(f"adapter width {u} does not match hidden {h.shape}")
-    h2 = reshape(h, (-1, u)) if h.ndim == 3 else h
-    z = matmul(h2, adapter.down)
-    f = ADAPTER_ACTIVATIONS[adapter.activation]
-    if f is not None:
-        z = f(z)
-    out = add(h2, matmul(z, adapter.up))
-    return reshape(out, h.shape) if h.ndim == 3 else out
+    return _adapters(h, [adapter])
 
 
 def _uniform(rng, shape, fan_in, scale):
@@ -325,15 +321,15 @@ def aux_branch_forward(stack: ModelStack, hidden: Tensor, from_layer: int, label
     """Lightweight global branch: subsequent adapters only, then the final head.
 
     Backbones after from_layer are skipped entirely; gradients flow through
-    the (frozen) subsequent adapters back into the window.
+    the (frozen) subsequent adapters back into the window.  They run as one
+    tape node that keeps each adapter's v-wide slope, not its u-wide hidden
+    state.
     """
     if not 1 <= from_layer <= stack.L:
         raise ValueError(f"layer index {from_layer} out of range 1..{stack.L}")
     if from_layer == stack.L:
         raise ValueError("aux branch undefined at the final layer; use the end-to-end loss")
-    h = hidden
-    for j in range(from_layer + 1, stack.L + 1):
-        h = adapter_forward(h, stack.units[j - 1].adapter)
+    h = _adapters(hidden, [unit.adapter for unit in stack.units[from_layer:]])
     return softmax_cross_entropy(stack.final_head.logits(h), labels)
 
 

@@ -2,8 +2,15 @@
 
 Operations record onto the innermost active ``Tape``; ``backward`` replays
 the tape in exact reverse append order, accumulating adjoints additively
-across fan-out. Frozen tensors (``requires_grad=False``) never receive a
-gradient buffer.
+across fan-out.  It frees memory as it goes: each node's adjoint and saved
+arrays are dropped once its gradient function has run, so a tape can be
+replayed only once.  Only leaves, the tensors no node on the tape produced,
+receive ``.grad``; frozen tensors (``requires_grad=False``) never do.
+
+A node saves only what its backward needs.  ``adapter_chain`` records a
+whole run of residual bottleneck adapters as one node that keeps, per
+adapter, the activation's slope on the v-wide rows, and the u-wide input or
+the activation only when that adapter's own weights train.
 """
 from __future__ import annotations
 
@@ -36,6 +43,8 @@ __all__ = [
     "relu",
     "gelu",
     "tanh",
+    "ACTIVATIONS",
+    "adapter_chain",
     "bias_add",
     "layer_norm",
     "softmax",
@@ -55,6 +64,11 @@ class NumericError(ArithmeticError):
     """An operation produced NaN or Inf; never silent."""
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("tensor holds non-finite values")
+
+
 class Tensor:
     """Row-major float64 array plus an optional same-shape gradient buffer."""
 
@@ -62,8 +76,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("tensor holds non-finite values")
+        _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -96,7 +109,9 @@ class Tape:
     """Append-ordered record of differentiable operations."""
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        # backward replaces each node by None once replayed, so len() still counts them
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object] | None] = []
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -134,13 +149,27 @@ def no_grad():
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Add d loss / d t to .grad for every leaf t that requires grad.
+
+    A leaf is a tensor that no node on this tape produced; intermediate
+    outputs never get a .grad.  Nodes are replayed in reverse append order,
+    and each node's adjoint and saved arrays are released as soon as its
+    gradient function has used them, so a tape can be replayed only once.
+    """
     if loss.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape._replayed:
+        raise RuntimeError("backward: this tape was already replayed and its nodes released; "
+                           "record the forward pass on a new Tape")
+    tape._replayed = True
+    nodes = tape._nodes
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, grad_fn in reversed(tape._nodes):
-        g = adjoints.get(id(out))
+    for i in range(len(nodes) - 1, -1, -1):
+        out, inputs, grad_fn = nodes[i]
+        nodes[i] = None
+        holders.pop(id(out), None)
+        g = adjoints.pop(id(out), None)
         if g is None:
             continue
         for t, gt in zip(inputs, grad_fn(g)):
@@ -152,17 +181,22 @@ def backward(tape: Tape, loss: Tensor) -> None:
             else:
                 adjoints[key] = gt
                 holders[key] = t
-    for key, t in holders.items():
+    for key, t in holders.items():  # no node produced what is left: the leaves
         if t.requires_grad:
             g = adjoints[key]
             t.grad = g if t.grad is None else t.grad + g
 
 
-def _emit(value: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
+def _recorder(inputs: tuple[Tensor, ...]) -> Tape | None:
+    """The tape an op on these inputs records onto, if any."""
     tape = active_tape()
-    recording = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(value, requires_grad=recording)
-    if recording:
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
+def _emit(value: np.ndarray, inputs: tuple[Tensor, ...], grad_fn) -> Tensor:
+    tape = _recorder(inputs)
+    out = Tensor(value, requires_grad=tape is not None)
+    if tape is not None:
         tape.record(out, inputs, grad_fn)
     return out
 
@@ -233,39 +267,117 @@ def mul(a, b) -> Tensor:
     return _emit(ad * bd, (a, b), grad_fn)
 
 
-def relu(x: Tensor) -> Tensor:
-    xd = x.data
+# Activations as (x, want_slope) -> (f(x), f'(x) or None): the one definition behind
+# the pointwise ops, adapter_chain, and the adapter activations a config may name.
 
-    def grad_fn(g):
-        # relu'(0) := 0
-        return (g * (xd > 0.0),)
-
-    return _emit(np.maximum(xd, 0.0), (x,), grad_fn)
+def _relu(x: np.ndarray, want_slope: bool):
+    return np.maximum(x, 0.0), (x > 0.0) if want_slope else None  # relu'(0) := 0
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu(x: np.ndarray, want_slope: bool):
+    th = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    value = 0.5 * x * (1.0 + th)
+    if not want_slope:
+        return value, None
+    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    return value, 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+
+
+def _tanh(x: np.ndarray, want_slope: bool):
+    value = np.tanh(x)
+    return value, (1.0 - value**2) if want_slope else None
+
+
+ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh, "identity": None}
+
+
+def _pointwise(f, x: Tensor) -> Tensor:
+    # the slope is computed only when the op records, and is all its node keeps
+    value, slope = f(x.data, _recorder((x,)) is not None)
+    return _emit(value, (x,), lambda g: (g * slope,))
+
+
+def relu(x: Tensor) -> Tensor:
+    return _pointwise(_relu, x)
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))."""
-    xd = x.data
-    th = np.tanh(_GELU_C * (xd + _GELU_A * xd**3))
-
-    def grad_fn(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd**2)
-        return (g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th**2) * d_inner),)
-
-    return _emit(0.5 * xd * (1.0 + th), (x,), grad_fn)
+    return _pointwise(_gelu, x)
 
 
 def tanh(x: Tensor) -> Tensor:
-    value = np.tanh(x.data)
+    return _pointwise(_tanh, x)
+
+
+def adapter_chain(h: Tensor, adapters) -> Tensor:
+    """Residual bottleneck adapters h <- h + f(h @ down) @ up, applied in order, as one op.
+
+    `adapters` holds (down [u, v], up [v, u], activation name) triples; h is
+    [..., u] and runs as [n, u] rows.  The one tape node keeps, per adapter,
+    f'(pre) on the [n, v] rows, f(pre) only when up trains and the [n, u]
+    input only when down trains; the hidden states in between are not kept.
+    Values and gradients are bitwise those of the per-op composition
+    add(h, matmul(f(matmul(h, down)), up)).
+    """
+    u = h.shape[-1] if h.ndim else 0
+    params: list[Tensor] = []
+    for down, up, name in adapters:
+        v = down.shape[-1] if down.ndim else 0
+        if down.shape != (u, v) or up.shape != (v, u):
+            raise ShapeMismatch(f"adapter_chain: down {down.shape} / up {up.shape} "
+                                f"do not fit hidden {h.shape}")
+        if name not in ACTIVATIONS:
+            raise ValueError(f"unknown adapter activation {name!r}")
+        params += (down, up)
+    inputs = (h, *params)
+    recording = _recorder(inputs) is not None
+    x = h.data.reshape(-1, u)
+    flows = recording and h.requires_grad  # a gradient is wanted at this adapter's input
+    saved = []
+    for down, up, name in adapters:
+        pre = x @ down.data
+        _check_finite(pre)
+        f = ACTIVATIONS[name]
+        down_trains, up_trains = recording and down.requires_grad, recording and up.requires_grad
+        through = flows or down_trains  # ... and at pre
+        act, slope = (pre, None) if f is None else f(pre, through)
+        saved.append((flows, through, slope, act if up_trains else None,
+                      x if down_trains else None))
+        step = act @ up.data
+        step += x  # in place on a fresh array; addition commutes bitwise
+        x = step
+        _check_finite(x)
+        flows = through or up_trains
 
     def grad_fn(g):
-        return (g * (1.0 - value**2),)
+        g = g.reshape(-1, u)
+        grads: list[np.ndarray | None] = [None] * len(inputs)
+        for k in range(len(saved) - 1, -1, -1):
+            flows_in, through, slope, act, x_in = saved[k]
+            down, up = params[2 * k].data, params[2 * k + 1].data
+            if act is not None:
+                grads[2 + 2 * k] = _swapT(act) @ g
+            if not through:
+                return grads  # no gradient is wanted before this adapter
+            gpre = g @ _swapT(up)
+            if slope is not None:
+                gpre *= slope
+            if x_in is not None:
+                grads[1 + 2 * k] = _swapT(x_in) @ gpre
+            if not flows_in:
+                return grads
+            back = gpre @ _swapT(down)
+            back += g
+            g = back
+        grads[0] = g.reshape(h.shape)
+        return grads
 
-    return _emit(value, (x,), grad_fn)
+    return _emit(x.reshape(h.shape), inputs, grad_fn)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:

@@ -1,5 +1,7 @@
 """Chain training tests: window schedule combinatorics, dual-objective stage
 loss, local SGD updates."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,33 @@ def test_minibatch_order_covers_epochs_and_reshuffles():
     assert all(np.array_equal(a, b) for a, b in zip(batches, again))
     other = minibatch_order(10, 4, 5, seed=4)
     assert any(not np.array_equal(a, b) for a, b in zip(batches, other))
+
+
+# ---------------------------------------------------------------- step memory
+
+
+def _step_peak(L, kind, window, scheme):
+    dims = StackDims(L=L, u=16, v=4, C=2, kind=kind, vocab=13)
+    stack = build_stack(dims, seed=3)
+    x, y = _data(seed=4, n=16, t=8, vocab=13, C=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        local_update(stack, x, y, window, StageLossConfig(lam=0.2), steps=1, lr=0.1,
+                     batch_size=16, seed=0, scheme=scheme)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["mlp", "attn-lite"])
+def test_window_step_peak_is_flat_in_depth(kind):
+    chain = {L: _step_peak(L, kind, (1, 2), "window") for L in (4, 8, 16)}
+    # The aux branch runs every adapter after the window, but what it keeps of
+    # each is f'(pre) on the [batch * seq_len, v] rows: that is all that grows.
+    slopes = (16 - 4) * (16 * 8) * 4 * 8
+    assert max(chain.values()) - chain[4] <= 1.25 * slopes, chain
+    assert chain[16] <= 1.15 * chain[4], chain
+    # the probe still sees depth where the trainable set does grow with L
+    full = {L: _step_peak(L, kind, (1, L), "all_adapters") for L in (4, 16)}
+    assert full[16] >= 3.0 * full[4], full

@@ -386,6 +386,32 @@ def test_run_baseline_schemes_use_full_residency_and_fixed_window():
     assert probe.records[0].comm_bytes == 2 * 3 * 4 * head
 
 
+def test_modelled_trainable_set_follows_the_scheme():
+    head, adapter = head_param_count(DIMS), adapter_param_count(DIMS)
+    per_param = 2 * 2 + 4 * 2  # weights and grads at 2 bytes, optimizer state at 4x
+    window = estimate_peak_memory(DIMS, 4, 6, Q=2)
+    assert window.adapter_and_grad_bytes + window.optimizer_bytes == per_param * (2 * adapter + head)
+    every = estimate_peak_memory(DIMS, 4, 6, Q=2, scheme="all_adapters")
+    assert every.adapter_and_grad_bytes + every.optimizer_bytes == per_param * (4 * adapter + head)
+    final = estimate_peak_memory(DIMS, 4, 6, mode="full", scheme="final_only")
+    assert final.adapter_and_grad_bytes + final.optimizer_bytes == per_param * head
+    with pytest.raises(ValueError, match="scheme"):
+        estimate_peak_memory(DIMS, 4, 6, Q=2, scheme="head")
+
+
+def test_linear_probing_reports_a_smaller_peak_than_full_adapters():
+    cfg = make_cfg(federation={"rounds": 1})
+    full = run_baseline(cfg, mode="full_adapters")
+    probe = run_baseline(cfg, mode="linear_probing")
+    dims = probe.stack.dims
+    # it trains only the final head, so no adapter weights, grads or optimizer state
+    adapters = dims.L * adapter_param_count(dims)
+    assert (full.records[0].peak_mem_bytes - probe.records[0].peak_mem_bytes
+            == (2 * 2 + 4 * 2) * adapters)
+    assert probe.records[0].peak_mem_bytes == estimate_peak_memory(
+        dims, 16, 6, mode="full", scheme="final_only").peak_bytes
+
+
 def test_run_no_dlct_uses_single_layer_window():
     res = run_baseline(make_cfg(), mode="no_dlct")
     assert res.Q == 1

@@ -1,15 +1,18 @@
 """Autodiff engine tests: frozen forward values, finite-difference gradients,
 tape semantics."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fedchain.tensor import (
+    ACTIVATIONS,
     NumericError,
     ShapeMismatch,
     Tape,
     Tensor,
+    adapter_chain,
     add,
     backward,
     bias_add,
@@ -257,7 +260,137 @@ def test_backward_requires_scalar_loss():
             backward(tape, y)
 
 
+# ---------------------------------------------------------------- fused adapter chain
+
+PER_OP = {"gelu": gelu, "relu": relu, "tanh": tanh, "identity": lambda z: z}
+# every non-empty subset of (h, down, up) that requires grad
+GRAD_SETS = [flags for flags in itertools.product((False, True), repeat=3) if any(flags)]
+
+
+def _adapter_leaves(seed, flags, n=5, u=4, v=2):
+    rng = np.random.default_rng(seed)
+    h = Tensor(rng.normal(size=(n, u)), requires_grad=flags[0])
+    down = Tensor(rng.normal(size=(u, v)), requires_grad=flags[1])
+    up = Tensor(rng.normal(size=(v, u)) * 0.5, requires_grad=flags[2])
+    weights = Tensor(rng.normal(size=(n, u)))
+    return h, down, up, weights
+
+
+def _grads_of(tensors, build_out, weights):
+    for t in tensors:
+        t.zero_grad()
+    with Tape() as tape:
+        out = build_out()
+        backward(tape, sum_all(mul(out, weights)))
+    return out, [t.grad for t in tensors]
+
+
+def test_activation_table_is_the_set_adapters_accept():
+    assert sorted(ACTIVATIONS) == sorted(PER_OP) == ["gelu", "identity", "relu", "tanh"]
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("flags", GRAD_SETS)
+def test_adapter_chain_gradients_match_finite_differences(act, flags):
+    h, down, up, weights = _adapter_leaves(21, flags)
+    if act == "relu":  # keep pre-activations away from the kink
+        pre = h.data @ down.data
+        assert np.abs(pre).min() > 1e-3
+    leaves = [t for t in (h, down, up) if t.requires_grad]
+    _check_grads(leaves, lambda: sum_all(mul(adapter_chain(h, [(down, up, act)]), weights)))
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("flags", GRAD_SETS)
+def test_adapter_chain_is_bitwise_the_per_op_composition(act, flags):
+    h, down, up, weights = _adapter_leaves(22, flags, n=7, u=6, v=3)
+    leaves = (h, down, up)
+    f = PER_OP[act]
+    fused, fused_grads = _grads_of(leaves, lambda: adapter_chain(h, [(down, up, act)]), weights)
+    composed, composed_grads = _grads_of(
+        leaves, lambda: add(h, matmul(f(matmul(h, down)), up)), weights)
+    assert fused.data.tobytes() == composed.data.tobytes()
+    for t, a, b in zip(leaves, fused_grads, composed_grads):
+        assert (a is None) == (not t.requires_grad) == (b is None)
+        if a is not None:
+            assert a.tobytes() == b.tobytes()
+
+
+def test_two_adapter_chain_equals_two_single_calls():
+    rng = np.random.default_rng(23)
+    h = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    first = (Tensor(rng.normal(size=(6, 2)), requires_grad=True),
+             Tensor(rng.normal(size=(2, 6)), requires_grad=True), "gelu")
+    second = (Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(2, 6))), "tanh")
+    weights = Tensor(rng.normal(size=(2, 3, 6)))
+    leaves = (h, first[0], first[1])
+    with Tape() as tape:
+        chained = adapter_chain(h, [first, second])
+        assert len(tape) == 1  # the whole chain is one node
+        backward(tape, sum_all(mul(chained, weights)))
+    chained_grads = [t.grad for t in leaves]
+    single, single_grads = _grads_of(
+        leaves, lambda: adapter_chain(adapter_chain(h, [first]), [second]), weights)
+    assert chained.shape == h.shape
+    assert chained.data.tobytes() == single.data.tobytes()
+    for a, b in zip(chained_grads, single_grads):
+        assert a.tobytes() == b.tobytes()
+    assert second[0].grad is None and second[1].grad is None
+
+
+def test_adapter_chain_checks_shapes_and_records_nothing_frozen():
+    h = Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatch):
+        adapter_chain(h, [(Tensor(np.ones((5, 2))), Tensor(np.ones((2, 5))), "gelu")])
+    with pytest.raises(ShapeMismatch):
+        adapter_chain(h, [(Tensor(np.ones((4, 2))), Tensor(np.ones((3, 4))), "gelu")])
+    with pytest.raises(ValueError, match="activation"):
+        adapter_chain(h, [(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 4))), "swish")])
+    with Tape() as tape:
+        out = adapter_chain(h, [(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 4))), "relu")])
+    assert len(tape) == 0 and out.requires_grad is False
+
+
+def test_adapter_chain_raises_on_non_finite_intermediates():
+    # tanh maps an infinite pre-activation to a finite value: the check must see pre itself
+    h = Tensor(np.full((1, 2), 1e200))
+    down = Tensor(np.full((2, 1), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
+            adapter_chain(h, [(down, Tensor(np.zeros((1, 2))), "tanh")])
+
+
 # ---------------------------------------------------------------- tape semantics
+
+
+def test_backward_sets_grad_on_leaves_only():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, 3.0)
+        z = tanh(y)
+        backward(tape, sum_all(z))
+    assert x.grad is not None
+    assert y.grad is None and z.grad is None
+
+
+def test_backward_keeps_the_node_count():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(gelu(mul(x, 3.0)))
+        assert len(tape) == 3
+        backward(tape, loss)
+    assert len(tape) == 3
+
+
+def test_a_replayed_tape_cannot_be_replayed_again():
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(mul(x, 2.0))
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already replayed"):
+            tape.backward(loss)
+    assert x.grad[0] == pytest.approx(2.0)
+
 
 
 def test_ops_outside_tape_do_not_record():
