@@ -1,6 +1,6 @@
 """A small federated experiment: chain training vs its ablations."""
 from fedchain.config import parse_config
-from fedchain.federation import run, run_baseline
+from fedchain.federation import run
 
 # 12 clients on a non-IID shard split; every client fits the same Q=2 window.
 cfg = parse_config({
@@ -23,6 +23,6 @@ print(f"per-client training peak:  {result.records[-1].peak_mem_bytes} bytes")
 
 # The ablations reuse the identical seed, data, and round budget.
 for mode in ("no_gpo", "no_dlct", "linear_probing"):
-    ablation = run_baseline(cfg, mode=mode)
+    ablation = run(cfg, mode=mode)
     print(f"{mode:<15} final accuracy {ablation.final_accuracy:.3f}   "
           f"(chainfed {result.final_accuracy:.3f})")

@@ -40,7 +40,6 @@ from .federation import (
     estimate_peak_memory,
     iid_partition,
     run,
-    run_baseline,
     sample_clients,
 )
 from .model import (

@@ -3,13 +3,18 @@
 ``save_checkpoint(stack, base)`` writes ``base.manifest`` and ``base.blob``.
 The manifest header carries the stack geometry so a checkpoint is
 self-contained; each following line lists tensor name, shape, dtype, and
-byte offset into the blob.
+byte offset into the blob.  Each file is written under a temporary name and
+renamed into place, the blob before the manifest, so a save that fails part
+way leaves the previous checkpoint loadable.
 """
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from .model import ModelStack, StackDims, build_stack, named_parameters
+from .tensor import LN_EPS
 
 MAGIC = "# fedchain-checkpoint v1"
 
@@ -33,7 +38,7 @@ def save_checkpoint(stack: ModelStack, base) -> None:
         f" ffn={dims.ffn_dim}"
         f" vocab={dims.vocab if dims.vocab is not None else '-'}"
         f" feature_dim={dims.feature_dim if dims.feature_dim is not None else '-'}"
-        f" adapter_act={stack.adapter_activation} eps={stack.eps!r}"
+        f" adapter_act={stack.adapter_activation} eps={LN_EPS!r}"
     )
     lines = [header]
     chunks = []
@@ -44,10 +49,19 @@ def save_checkpoint(stack: ModelStack, base) -> None:
         lines.append(f"{name}\t{shape}\tf32\t{offset}")
         chunks.append(raw)
         offset += len(raw)
-    with open(_manifest_path(base), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(_blob_path(base), "wb") as fh:
-        fh.write(b"".join(chunks))
+    _replace(_blob_path(base), b"".join(chunks))
+    _replace(_manifest_path(base), ("\n".join(lines) + "\n").encode())
+
+
+def _replace(path: str, data: bytes) -> None:
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed part way
+            os.remove(tmp)
 
 
 def _parse_header(line: str) -> dict:
@@ -78,8 +92,9 @@ def load_checkpoint(base) -> ModelStack:
             vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
             feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
         )
-        stack = build_stack(dims, seed=0, adapter_activation=meta["adapter_act"],
-                            eps=float(meta["eps"]))
+        if float(meta["eps"]) != LN_EPS:
+            raise ValueError(f"layer-norm eps {meta['eps']} is not {LN_EPS!r}")
+        stack = build_stack(dims, seed=0, adapter_activation=meta["adapter_act"])
     except ValueError as e:
         raise CheckpointError(f"bad manifest header: {e}") from e
     params = named_parameters(stack)

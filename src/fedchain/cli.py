@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
@@ -37,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Memory-budgeted federated adapter fine-tuning simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="experiment config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", help="output path (metrics stream or report JSON)")
         p.add_argument("--seed", type=int, help="override the experiment seed")
 
@@ -144,8 +145,7 @@ def _cmd_report_memory(args) -> int:
         reduction[str(q)] = 1.0 - report.peak_bytes / full.peak_bytes
     payload = {
         "model": name,
-        "dims": {"L": dims.L, "u": dims.u, "v": dims.v, "C": dims.C, "kind": dims.kind,
-                 "ffn": dims.ffn_dim, "vocab": dims.vocab, "feature_dim": dims.feature_dim},
+        "dims": {**asdict(dims), "ffn": dims.ffn_dim},
         "assumptions": {**DEFAULT_ASSUMPTIONS, "batch": args.batch, "seq_len": args.seq_len},
         "full": full.as_dict(),
         "chain": chain,
@@ -166,9 +166,7 @@ def main(argv=None) -> int:
             return _cmd_run(args, mode=args.mode)
         if args.command == "profile":
             return _cmd_profile(args)
-        if args.command == "report-memory":
-            return _cmd_report_memory(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_report_memory(args)  # the subparsers admit no other command
     except NumericError as e:
         print(f"fedchain: numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -180,7 +178,6 @@ def main(argv=None) -> int:
     except ValueError as e:  # ConfigError, or a library check on a value the config set
         print(f"fedchain: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
+from .chain import StageLossConfig
 from .data import SYNTH_KINDS
 from .federation import PARTITIONS, RUN_MODES
-from .model import ADAPTER_ACTIVATIONS, BACKBONE_KINDS
+from .model import ACTIVATIONS, BACKBONE_KINDS
 
-DEFAULT_LAMBDA = 0.2
 DEFAULT_THRESHOLD = 0.8
 
 
@@ -78,7 +78,7 @@ class FederationConfig:
 
 @dataclass
 class ChainConfig:
-    lam: float = field(default=DEFAULT_LAMBDA, metadata={"json": "lambda"})
+    lam: float = field(default=StageLossConfig.lam, metadata={"json": "lambda"})
     T: float | None = None
     L_start: int | None = None
     lr: float = 0.1
@@ -179,9 +179,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append("model.vocab / model.feature_dim: at most one may be set")
     if model.classes is not None and model.classes < 2:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
-    if model.init_scale <= 0:
-        problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
-    if model.adapter_activation not in ADAPTER_ACTIVATIONS:
+    if not 0 < model.init_scale < float("inf"):  # nan fails too
+        problems.append(f"model.init_scale: must be finite and > 0, got {model.init_scale}")
+    if model.adapter_activation not in ACTIVATIONS:
         problems.append(f"model.adapter_activation: unknown activation {model.adapter_activation!r}")
 
     if data.source not in ("synthetic", "file"):

@@ -150,13 +150,12 @@ def load_dataset_from_config(data_cfg, model_cfg, seed) -> Dataset:
                          signal=data_cfg.signal, noise=data_cfg.noise)
 
 
-def deep_readout_dataset(stack, M: int, seq_len: int, seed, probe_layer: int | None = None,
-                         hidden: int = 16, max_tries: int = 50) -> Dataset:
-    """Labels depend only on deep-layer features of the given stack.
+def deep_readout_dataset(stack, M: int, seq_len: int, seed) -> Dataset:
+    """Labels depend only on the top-layer features of the given stack.
 
     Uniform random token rows are labeled by a frozen random two-layer readout
-    of the probe layer's mean-pooled activations; redraws the readout until
-    both classes are reasonably represented.
+    (16 hidden units) of the last layer's mean-pooled activations; redraws the
+    readout, up to 50 times, until both classes are reasonably represented.
     """
     from .model import forward_through
     from .tensor import no_grad
@@ -164,18 +163,15 @@ def deep_readout_dataset(stack, M: int, seq_len: int, seed, probe_layer: int | N
     dims = stack.dims
     if dims.vocab is None:
         raise ValueError("deep_readout_dataset needs a token stack")
-    probe = stack.L if probe_layer is None else probe_layer
-    if not 1 <= probe <= stack.L:
-        raise ValueError(f"probe layer {probe} out of range 1..{stack.L}")
     rng = np.random.default_rng(seed)
     x = rng.integers(2, dims.vocab, size=(M, seq_len), dtype=np.int64)
     with no_grad():
-        feats, _ = forward_through(stack, x, upto=probe)
+        feats, _ = forward_through(stack, x)
     pooled = feats.data.mean(axis=1)
     pooled = (pooled - pooled.mean(axis=0)) / (pooled.std(axis=0) + 1e-8)
-    for _ in range(max_tries):
-        w1 = rng.standard_normal((dims.u, hidden)) / math.sqrt(dims.u)
-        w2 = rng.standard_normal((hidden, 2))
+    for _ in range(50):
+        w1 = rng.standard_normal((dims.u, 16)) / math.sqrt(dims.u)
+        w2 = rng.standard_normal((16, 2))
         y = np.argmax(np.tanh(pooled @ w1 * 4.0) @ w2, axis=1).astype(np.int64)
         smaller = min(np.bincount(y, minlength=2))
         if smaller >= M // 4:

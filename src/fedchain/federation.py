@@ -12,7 +12,7 @@ runs the same set-up and phase 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -106,9 +106,8 @@ def embed_param_count(dims: StackDims) -> int:
 
 def layer_param_count(dims: StackDims) -> int:
     u, f = dims.u, dims.ffn_dim
-    if dims.kind == "mlp":
-        return 2 * u * f + f + 3 * u
-    return 4 * u * u + 2 * u * f + f + 5 * u  # attn-lite
+    mlp = 2 * u * f + f + 3 * u  # model.MlpLayer
+    return mlp if dims.kind == "mlp" else 4 * u * u + 2 * u + mlp  # attn-lite adds ln1 and attention
 
 
 def adapter_param_count(dims: StackDims) -> int:
@@ -139,20 +138,11 @@ class MemReport:
         }
 
     def as_dict(self) -> dict:
-        return {
-            "params_bytes": self.params_bytes,
-            "activation_bytes": self.activation_bytes,
-            "adapter_and_grad_bytes": self.adapter_and_grad_bytes,
-            "optimizer_bytes": self.optimizer_bytes,
-            "peak_bytes": self.peak_bytes,
-            "shares": self.shares,
-        }
+        return asdict(self)
 
 
 def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | None = None,
-                         mode: str = "chain", precision_bytes: int = PRECISION_BYTES,
-                         optimizer_multiplier: int = OPTIMIZER_MULTIPLIER,
-                         scheme: str = "window") -> MemReport:
+                         mode: str = "chain", scheme: str = "window") -> MemReport:
     """Closed-form per-device peak for one training step.
 
     Local heads are negligible (u*C + C per layer) and excluded; the trainable
@@ -173,7 +163,7 @@ def estimate_peak_memory(dims: StackDims, batch: int, seq_len: int, Q: int | Non
         Q = dims.L
     if Q is None or not 1 <= Q <= dims.L:
         raise ValueError(f"chain mode needs Q in [1, {dims.L}], got {Q}")
-    p, k = precision_bytes, optimizer_multiplier
+    p, k = PRECISION_BYTES, OPTIMIZER_MULTIPLIER
     resident_layers, live_layers = min(Q + 1, dims.L), Q + 1
     adapters = {"window": Q, "all_adapters": dims.L, "final_only": 0}[scheme]
     trainable = adapters * adapter_param_count(dims) + head_param_count(dims)
@@ -252,15 +242,7 @@ class RoundRecord:
     peak_mem_bytes: int
 
     def as_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "window": list(self.window),
-            "clients": self.clients,
-            "train_loss": self.train_loss,
-            "eval_accuracy": self.eval_accuracy,
-            "comm_bytes": self.comm_bytes,
-            "peak_mem_bytes": self.peak_mem_bytes,
-        }
+        return {**asdict(self), "window": list(self.window)}  # the JSON form, key order kept
 
 
 @dataclass
@@ -353,11 +335,18 @@ def setup(cfg, dataset=None) -> Experiment:
 
 
 def profile_clients(exp: Experiment) -> CKAProfile:
-    """Each client profiles the first 64 rows of its own shard under its own budget."""
+    """Each client profiles the first 64 rows of its own shard under its own budget.
+
+    CKA needs at least 2 activation rows (samples x tokens), so a client
+    with fewer sits out.
+    """
     per_client = []
     for c in exp.clients:
         take = c.shard[: min(64, len(c.shard))]
-        per_client.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
+        if len(take) * exp.seq_len >= 2:
+            per_client.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
+    if not per_client:
+        raise ValueError("no client holds the 2 activation rows CKA profiling needs")
     return aggregate_profiles(per_client)
 
 
@@ -467,8 +456,3 @@ def _mutable_parameters(stack: ModelStack) -> dict:
     params = named_parameters(stack)
     return {name: t for name, t in params.items()
             if name.startswith("layer.") or name.startswith("final_head.")}
-
-
-def run_baseline(cfg, mode: str, **kwargs) -> RunResult:
-    """Run an ablation or baseline under the same config and seed."""
-    return run(cfg, mode=mode, **kwargs)

@@ -31,9 +31,6 @@ from .tensor import (
     swap_last2,
 )
 
-ADAPTER_ACTIVATIONS = tuple(ACTIVATIONS)
-
-
 @dataclass
 class AdapterParams:
     """Residual bottleneck adapter: h + f(h @ down) @ up."""
@@ -47,7 +44,7 @@ def init_adapter(u: int, v: int, seed, activation: str = "gelu") -> AdapterParam
     """Identity-start init: down ~ U(+-1/sqrt(u)), up = 0."""
     if not 1 <= v < u:
         raise ValueError(f"adapter bottleneck must satisfy 1 <= v < u, got u={u}, v={v}")
-    if activation not in ADAPTER_ACTIVATIONS:
+    if activation not in ACTIVATIONS:
         raise ValueError(f"unknown adapter activation {activation!r}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(u)
@@ -75,9 +72,8 @@ class MlpLayer:
 
     kind = "mlp"
 
-    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False, eps: float = 1e-5):
-        rng = np.random.default_rng(seed)
-        self.u, self.ffn, self.eps = u, ffn, eps
+    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
+        rng = np.random.default_rng(seed)  # a Generator passes through: a caller's draws continue
         self.ln_gain = Tensor(np.ones(u))
         self.ln_bias = Tensor(np.zeros(u))
         self.w1 = _uniform(rng, (u, ffn), u, scale)
@@ -95,37 +91,34 @@ class MlpLayer:
             "fc2.b": self.b2,
         }
 
+    def rows(self, x2: Tensor) -> Tensor:
+        """The block on [n, u] rows."""
+        z = layer_norm(x2, self.ln_gain, self.ln_bias)
+        hid = gelu(bias_add(matmul(z, self.w1), self.b1))
+        return add(x2, bias_add(matmul(hid, self.w2), self.b2))
+
     def forward(self, x: Tensor) -> Tensor:
         b, t, u = x.shape
-        x2 = reshape(x, (b * t, u))
-        z = layer_norm(x2, self.ln_gain, self.ln_bias, self.eps)
-        hid = gelu(bias_add(matmul(z, self.w1), self.b1))
-        out = add(x2, bias_add(matmul(hid, self.w2), self.b2))
-        return reshape(out, (b, t, u))
+        return reshape(self.rows(reshape(x, (b * t, u))), (b, t, u))
 
 
 class AttnLiteLayer:
-    """Single-head self-attention plus feed-forward, both pre-norm residual."""
+    """Single-head pre-norm residual self-attention, then the MlpLayer block."""
 
     kind = "attn-lite"
 
-    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False, eps: float = 1e-5):
+    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
         rng = np.random.default_rng(seed)
-        self.u, self.ffn, self.eps = u, ffn, eps
         self.ln1_gain = Tensor(np.ones(u))
         self.ln1_bias = Tensor(np.zeros(u))
         self.wq = _uniform(rng, (u, u), u, scale)
         self.wk = _uniform(rng, (u, u), u, scale)
         self.wv = _uniform(rng, (u, u), u, scale)
         self.wo = Tensor(np.zeros((u, u))) if identity else _uniform(rng, (u, u), u, scale)
-        self.ln2_gain = Tensor(np.ones(u))
-        self.ln2_bias = Tensor(np.zeros(u))
-        self.w1 = _uniform(rng, (u, ffn), u, scale)
-        self.b1 = Tensor(np.zeros(ffn))
-        self.w2 = Tensor(np.zeros((ffn, u))) if identity else _uniform(rng, (ffn, u), ffn, scale)
-        self.b2 = Tensor(np.zeros(u))
+        self.mlp = MlpLayer(u, ffn, rng, scale, identity)
 
     def params(self) -> dict[str, Tensor]:
+        ffn = self.mlp.params()
         return {
             "ln1.gain": self.ln1_gain,
             "ln1.bias": self.ln1_bias,
@@ -133,29 +126,22 @@ class AttnLiteLayer:
             "attn.wk": self.wk,
             "attn.wv": self.wv,
             "attn.wo": self.wo,
-            "ln2.gain": self.ln2_gain,
-            "ln2.bias": self.ln2_bias,
-            "fc1.W": self.w1,
-            "fc1.b": self.b1,
-            "fc2.W": self.w2,
-            "fc2.b": self.b2,
+            "ln2.gain": ffn.pop("ln.gain"),
+            "ln2.bias": ffn.pop("ln.bias"),
+            **ffn,
         }
 
     def forward(self, x: Tensor) -> Tensor:
         b, t, u = x.shape
         x2 = reshape(x, (b * t, u))
-        z = layer_norm(x2, self.ln1_gain, self.ln1_bias, self.eps)
+        z = layer_norm(x2, self.ln1_gain, self.ln1_bias)
         q = reshape(matmul(z, self.wq), (b, t, u))
         k = reshape(matmul(z, self.wk), (b, t, u))
         v = reshape(matmul(z, self.wv), (b, t, u))
         scores = mul(matmul(q, swap_last2(k)), 1.0 / math.sqrt(u))
         ctx = matmul(softmax(scores), v)
         attn = matmul(reshape(ctx, (b * t, u)), self.wo)
-        a2 = add(x2, attn)
-        z2 = layer_norm(a2, self.ln2_gain, self.ln2_bias, self.eps)
-        hid = gelu(bias_add(matmul(z2, self.w1), self.b1))
-        out = add(a2, bias_add(matmul(hid, self.w2), self.b2))
-        return reshape(out, (b, t, u))
+        return reshape(self.mlp.rows(add(x2, attn)), (b, t, u))
 
 
 BACKBONE_KINDS = {"mlp": MlpLayer, "attn-lite": AttnLiteLayer}
@@ -165,7 +151,6 @@ class LocalHead:
     """Mean-pool over tokens followed by an affine readout."""
 
     def __init__(self, u: int, n_classes: int, seed=None):
-        self.u, self.n_classes = u, n_classes
         if seed is None:
             w = np.zeros((u, n_classes))
         else:
@@ -246,13 +231,12 @@ class LayerUnit:
 
 class ModelStack:
     def __init__(self, dims: StackDims, embed, units: list[LayerUnit], final_head: LocalHead,
-                 adapter_activation: str = "gelu", eps: float = 1e-5):
+                 adapter_activation: str = "gelu"):
         self.dims = dims
         self.embed = embed
         self.units = units
         self.final_head = final_head
         self.adapter_activation = adapter_activation
-        self.eps = eps
 
     @property
     def L(self) -> int:
@@ -260,8 +244,7 @@ class ModelStack:
 
 
 def build_stack(dims: StackDims, seed: int = 0, init_scale: float = 1.0,
-                adapter_activation: str = "gelu", identity_backbone: bool = False,
-                eps: float = 1e-5) -> ModelStack:
+                adapter_activation: str = "gelu", identity_backbone: bool = False) -> ModelStack:
     """Deterministically initialize a full stack from one master seed."""
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = entropy.spawn(3 * dims.L + 2)
@@ -274,21 +257,23 @@ def build_stack(dims: StackDims, seed: int = 0, init_scale: float = 1.0,
     units = []
     for _ in range(dims.L):
         backbone = layer_cls(dims.u, dims.ffn_dim, next(it), scale=init_scale,
-                             identity=identity_backbone, eps=eps)
+                             identity=identity_backbone)
         adapter = init_adapter(dims.u, dims.v, next(it), adapter_activation)
         head = LocalHead(dims.u, dims.C, next(it))
         units.append(LayerUnit(backbone, adapter, head))
     final_head = LocalHead(dims.u, dims.C, next(it))
-    return ModelStack(dims, embed, units, final_head, adapter_activation, eps)
+    return ModelStack(dims, embed, units, final_head, adapter_activation)
 
 
 def forward_through(stack: ModelStack, x, upto: int | None = None,
                     active_set=()) -> tuple[Tensor, list[int]]:
     """Apply layers 1..upto, each as backbone-then-adapter.
 
-    Layers outside active_set run gradient-free when nothing upstream
-    requires grad; those layer indices are returned as the released-memory
-    trace (their activations are releasable immediately after consumption).
+    active_set names the layers whose adapters may train.  A layer outside
+    it that no grad-requiring activation reaches records nothing, since no
+    input of its ops requires grad; those layer indices are returned as the
+    released-memory trace (their activations are releasable immediately
+    after consumption).
     """
     L = stack.L
     upto = L if upto is None else upto
@@ -300,13 +285,10 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
     h = stack.embed(x)
     releasable: list[int] = []
     for i in range(1, upto + 1):
-        unit = stack.units[i - 1]
-        if i in active or h.requires_grad:
-            h = adapter_forward(unit.backbone.forward(h), unit.adapter)
-        else:
-            with no_grad():
-                h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+        if i not in active and not h.requires_grad:
             releasable.append(i)
+        unit = stack.units[i - 1]
+        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
     return h, releasable
 
 
@@ -330,21 +312,17 @@ def aux_branch_forward(stack: ModelStack, hidden: Tensor, from_layer: int, label
     if from_layer == stack.L:
         raise ValueError("aux branch undefined at the final layer; use the end-to-end loss")
     h = _adapters(hidden, [unit.adapter for unit in stack.units[from_layer:]])
-    return softmax_cross_entropy(stack.final_head.logits(h), labels)
+    return end_to_end_loss(stack, h, labels)
 
 
 def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
     return softmax_cross_entropy(stack.final_head.logits(hidden), labels)
 
 
-def predict_logits(stack: ModelStack, x) -> np.ndarray:
+def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
     with no_grad():
         h, _ = forward_through(stack, x)
-        return stack.final_head.logits(h).data
-
-
-def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
-    pred = predict_logits(stack, x).argmax(axis=1)
+        pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 
 

@@ -88,24 +88,19 @@ def partition_layers(stack: ModelStack, n_rows: int, mem_budget: float) -> list[
     layer_bytes = _layer_bytes(stack)
     blocks: list[list[int]] = []
     current: list[int] = []
-    current_bytes = carry
+    current_bytes = 0
     for i, cost in enumerate(layer_bytes, start=1):
-        if not current:
-            if carry + cost > mem_budget:
-                raise ValueError(
-                    f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer {i}"
-                )
-            current, current_bytes = [i], carry + cost
-        elif current_bytes + cost <= mem_budget:
+        if current and current_bytes + cost <= mem_budget:
             current.append(i)
             current_bytes += cost
-        else:
+            continue
+        if carry + cost > mem_budget:
+            raise ValueError(
+                f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer {i}"
+            )
+        if current:
             blocks.append(current)
-            if carry + cost > mem_budget:
-                raise ValueError(
-                    f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer {i}"
-                )
-            current, current_bytes = [i], carry + cost
+        current, current_bytes = [i], carry + cost
     if current:
         blocks.append(current)
     return blocks

@@ -29,32 +29,6 @@ try:
 except (AttributeError, OSError, TypeError):  # not glibc
     pass
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "ShapeMismatch",
-    "NumericError",
-    "no_grad",
-    "active_tape",
-    "backward",
-    "matmul",
-    "add",
-    "mul",
-    "relu",
-    "gelu",
-    "tanh",
-    "ACTIVATIONS",
-    "adapter_chain",
-    "bias_add",
-    "layer_norm",
-    "softmax",
-    "softmax_cross_entropy",
-    "mean",
-    "sum_all",
-    "reshape",
-    "swap_last2",
-]
-
 
 class ShapeMismatch(ValueError):
     """Operands with incompatible shapes."""
@@ -394,7 +368,10 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _emit(x.data + b.data, (x, b), grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # the variance floor of every layer norm; checkpoints record it
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -406,7 +383,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (xd - mu) * inv
 
     def grad_fn(g):

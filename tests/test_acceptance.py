@@ -19,7 +19,6 @@ from fedchain.federation import (
     aggregate,
     estimate_peak_memory,
     run,
-    run_baseline,
 )
 from fedchain.model import StackDims, build_stack, named_parameters
 from fedchain.similarity import cka, hsic_linear, profile_layers
@@ -310,7 +309,7 @@ def test_criterion_7_desk_experiment_accuracy_and_memory():
                   "batch": 32},
     })
     chain = run(cfg)
-    no_gpo = run_baseline(cfg, mode="no_gpo")
+    no_gpo = run(cfg, mode="no_gpo")
     elapsed = time.time() - t0
     assert chain.final_accuracy >= 0.95, f"accuracy {chain.final_accuracy:.3f}"
     assert chain.final_accuracy >= no_gpo.final_accuracy
@@ -352,7 +351,7 @@ def test_criterion_9_start_layer_selection_beats_ablation():
     stack = build_stack(dims, seed=np.random.SeedSequence([0, 1]), init_scale=1.5)
     dataset = deep_readout_dataset(stack, M=450, seq_len=12, seed=[0, 2])
     chain = run(cfg, dataset=dataset)
-    no_foat = run_baseline(cfg, mode="no_foat", dataset=dataset)
+    no_foat = run(cfg, mode="no_foat", dataset=dataset)
     assert chain.L_start > 1, "profile failed to skip any early layer"
     assert chain.final_accuracy >= no_foat.final_accuracy, (
         f"{chain.final_accuracy:.3f} < {no_foat.final_accuracy:.3f}")

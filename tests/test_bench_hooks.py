@@ -8,10 +8,15 @@ than only in the harness's own smoke check.
 import dataclasses
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 import fedchain
 from fedchain import RunResult, StageLossConfig, StackDims, estimate_peak_memory, local_update
+from fedchain.model import AttnLiteLayer
+from fedchain.tensor import Tensor
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -55,3 +60,20 @@ def test_worker_calls_keep_their_keywords():
     assert StageLossConfig(lam=0.3).lam == 0.3
     assert {"L_start", "Q", "stack"} <= {f.name for f in dataclasses.fields(RunResult)}
     assert fedchain.federation.local_update is local_update
+
+
+def test_tracer_times_every_op_of_an_attn_lite_layer():
+    # attention, then the MLP block: both halves look their ops up in fedchain.model
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    layer = AttnLiteLayer(8, 16, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)))
+    tracer.install()
+    try:
+        layer.forward(x)
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    assert dict(calls) == {"tensor.op.layer_norm": 2, "tensor.op.gelu": 1, "tensor.op.matmul": 8,
+                           "tensor.op.reshape": 6, "tensor.op.add": 2, "tensor.op.bias_add": 2,
+                           "tensor.op.mul": 1, "tensor.op.softmax": 1, "tensor.op.swap_last2": 1}

@@ -7,7 +7,7 @@ import pytest
 from fedchain.checkpoint import load_checkpoint
 from fedchain.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedchain.config import load_config
-from fedchain.federation import RUN_MODES, run
+from fedchain.federation import RUN_MODES, run, setup
 
 
 @pytest.fixture
@@ -129,6 +129,48 @@ def test_profile_agrees_with_run(tmp_path, capsys):
     result = run(load_config(path))
     assert payload["scores"] == result.profile.scores
     assert payload["start_layer"] == result.L_start
+
+
+ONE_ROW_SHARDS = {
+    "model": {"L": 3, "u": 8, "v": 2, "feature_dim": 2},
+    "data": {"kind": "two-moons-seq", "M": 100},
+    "federation": {"N": 40, "partition": "dirichlet", "alpha": 0.05, "sample_count": 2,
+                   "Q": 1, "rounds": 1},
+    "chain": {"T": 0.9},
+}
+
+
+def _one_row_shards(tmp_path, **federation):
+    raw = json.loads(json.dumps(ONE_ROW_SHARDS))
+    raw["federation"].update(federation)
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_run_skips_one_row_clients_when_profiling(tmp_path, capsys):
+    # Dirichlet(0.05) over 40 clients leaves several with a single two-moons row,
+    # one CKA row each; CKA needs 2, so those clients sit out phase 1
+    path = _one_row_shards(tmp_path)
+    exp = setup(load_config(path))
+    assert min(len(c.shard) for c in exp.clients) == 1
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    summary, _ = _stderr_summary(capsys)
+    assert summary["rounds"] == 1 and 1 <= summary["L_start"] <= 3
+
+
+def test_profile_skips_one_row_clients(tmp_path, capsys):
+    path = _one_row_shards(tmp_path)
+    assert main(["profile", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    exp = setup(load_config(path))
+    assert payload["sample_weight"] == sum(len(c.shard) for c in exp.clients if len(c.shard) >= 2)
+    assert payload["start_layer"] == run(load_config(path)).L_start
+    # an IID split of the 80 training rows over 80 clients leaves nobody to profile
+    path = _one_row_shards(tmp_path, N=80, partition="iid")
+    for command in ("run", "profile"):
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert "2 activation rows" in capsys.readouterr().err
 
 
 def test_report_memory_preset(capsys):

@@ -1,9 +1,12 @@
 """Config parsing, synthetic data, JSONL loading, and checkpoint round trips."""
+import builtins
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import fedchain.checkpoint
 from fedchain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from fedchain.config import (
     ConfigError,
@@ -89,6 +92,8 @@ def test_config_field_validation():
         (dict(model={"vocab": 10, "feature_dim": 3}), "at most one"),
         (dict(model={"classes": 1}), "model.classes"),
         (dict(model={"init_scale": 0}), "model.init_scale"),
+        (dict(model={"init_scale": float("inf")}), "model.init_scale"),
+        (dict(model={"init_scale": float("nan")}), "model.init_scale"),
         (dict(data={"eval_fraction": 1.0}), "data.eval_fraction"),
         (dict(data={"kind": "spirals"}), "data.kind"),
         (dict(federation={"alpha": -1}), "federation.alpha"),
@@ -351,10 +356,58 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(base)
 
-    # non-integer header field, shape and offset
+    # non-integer header field, shape and offset; an eps no layer norm uses
     for bad in (manifest.replace(" L=2 ", " L=x ", 1), manifest.replace("\t8x2\t", "\t9xq\t", 1),
-                manifest.replace("\tf32\t0\n", "\tf32\tabc\n", 1)):
+                manifest.replace("\tf32\t0\n", "\tf32\tabc\n", 1),
+                manifest.replace(" eps=1e-05\n", " eps=1e-06\n", 1)):
         assert bad != manifest
         (tmp_path / "ckpt.manifest").write_text(bad)
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(base)
+
+
+def test_checkpoint_header_is_pinned(tmp_path):
+    stack = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
+    save_checkpoint(stack, tmp_path / "ckpt")
+    header = (tmp_path / "ckpt.manifest").read_text().split("\n")[0]
+    assert header == ("# fedchain-checkpoint v1 kind=mlp L=2 u=8 v=2 C=2 ffn=16 vocab=7"
+                      " feature_dim=- adapter_act=gelu eps=1e-05")
+
+
+class _FullDisk:
+    """An open binary file whose writes fail, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_checkpoint_failed_save_keeps_the_previous_one(tmp_path, monkeypatch):
+    first = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
+    base = tmp_path / "ckpt"
+    save_checkpoint(first, base)
+
+    def open_failing_blob_writes(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return _FullDisk(fh) if ".blob" in str(path) and "w" in mode else fh
+
+    monkeypatch.setattr(fedchain.checkpoint, "open", open_failing_blob_writes, raising=False)
+    second = build_stack(StackDims(L=3, u=8, v=2, C=2, kind="mlp", vocab=7), seed=4)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(second, base)
+    monkeypatch.undo()
+
+    loaded = load_checkpoint(base)
+    assert loaded.L == 2
+    for name, t in named_parameters(first).items():
+        assert np.array_equal(named_parameters(loaded)[name].data,
+                              t.data.astype("<f4").astype(np.float64)), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.blob", "ckpt.manifest"]

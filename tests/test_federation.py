@@ -21,7 +21,6 @@ from fedchain.federation import (
     iid_partition,
     layer_param_count,
     run,
-    run_baseline,
     sample_clients,
 )
 from fedchain.model import (
@@ -349,7 +348,7 @@ def test_run_comm_bytes_accounting():
 
 def test_run_no_gpo_mode_equals_lambda_zero():
     base = run(make_cfg(chain={"lambda": 0.0}))
-    ablated = run_baseline(make_cfg(chain={"lambda": 0.2}), mode="no_gpo")
+    ablated = run(make_cfg(chain={"lambda": 0.2}), mode="no_gpo")
     for a, b in zip(base.records, ablated.records):
         assert a.train_loss == b.train_loss
         assert a.eval_accuracy == b.eval_accuracy
@@ -374,13 +373,13 @@ def test_run_dirichlet_budget_profile_path():
 
 def test_run_baseline_schemes_use_full_residency_and_fixed_window():
     cfg = make_cfg()
-    res = run_baseline(cfg, mode="full_adapters")
+    res = run(cfg, mode="full_adapters")
     dims = res.stack.dims
     full_peak = estimate_peak_memory(dims, 16, 6, mode="full").peak_bytes
     assert all(rec.peak_mem_bytes == full_peak for rec in res.records)
     assert all(rec.window == (1, 4) for rec in res.records)
     assert res.Q == dims.L
-    probe = run_baseline(cfg, mode="linear_probing")
+    probe = run(cfg, mode="linear_probing")
     # final head only: 2 tensors on the wire
     head = dims.u * dims.C + dims.C
     assert probe.records[0].comm_bytes == 2 * 3 * 4 * head
@@ -401,8 +400,8 @@ def test_modelled_trainable_set_follows_the_scheme():
 
 def test_linear_probing_reports_a_smaller_peak_than_full_adapters():
     cfg = make_cfg(federation={"rounds": 1})
-    full = run_baseline(cfg, mode="full_adapters")
-    probe = run_baseline(cfg, mode="linear_probing")
+    full = run(cfg, mode="full_adapters")
+    probe = run(cfg, mode="linear_probing")
     dims = probe.stack.dims
     # it trains only the final head, so no adapter weights, grads or optimizer state
     adapters = dims.L * adapter_param_count(dims)
@@ -413,7 +412,7 @@ def test_linear_probing_reports_a_smaller_peak_than_full_adapters():
 
 
 def test_run_no_dlct_uses_single_layer_window():
-    res = run_baseline(make_cfg(), mode="no_dlct")
+    res = run(make_cfg(), mode="no_dlct")
     assert res.Q == 1
     assert [rec.window for rec in res.records] == [(1, 1), (2, 2), (3, 3)]
 
@@ -432,4 +431,4 @@ def test_run_rejects_unknown_mode():
     with pytest.raises(ValueError):
         run(make_cfg(), mode="centralized")
     with pytest.raises(ValueError):
-        run_baseline(make_cfg(), mode="chainfed-extra")
+        run(make_cfg(), mode="chainfed-extra")
