@@ -1,7 +1,7 @@
 """Profile layer similarity under a memory budget and pick the start layer."""
 import numpy as np
 
-from fedchain.model import StackDims, build_stack
+from fedchain.model import StackDims, adapter_param_count, build_stack, layer_param_count
 from fedchain.similarity import (
     aggregate_profiles,
     partition_layers,
@@ -20,8 +20,9 @@ n_rows = batch.shape[0] * batch.shape[1]
 
 # A tight budget forces block-by-block execution: only one block of layers is
 # resident at a time, plus the carried hidden state at the block boundary.
-layer_cost = 8 * sum(t.size for t in stack.units[0].backbone.params().values())
-budget = 2 * n_rows * dims.u * 8 * 2 + 3 * layer_cost
+# Each layer costs its backbone and adapter parameters at 8 bytes (f64).
+layer_cost = 8 * (layer_param_count(dims) + adapter_param_count(dims))
+budget = 2 * n_rows * dims.u * 8 + 3 * layer_cost
 blocks = partition_layers(stack, n_rows, budget)
 print(f"budget {budget} bytes -> blocks {blocks}")
 

@@ -13,7 +13,16 @@ import os
 
 import numpy as np
 
-from .model import ModelStack, StackDims, build_stack, named_parameters
+from .model import (
+    ModelStack,
+    StackDims,
+    adapter_param_count,
+    build_stack,
+    embed_param_count,
+    head_param_count,
+    layer_param_count,
+    named_parameters,
+)
 from .tensor import LN_EPS
 
 MAGIC = "# fedchain-checkpoint v1"
@@ -21,14 +30,6 @@ MAGIC = "# fedchain-checkpoint v1"
 
 class CheckpointError(ValueError):
     pass
-
-
-def _manifest_path(base) -> str:
-    return f"{base}.manifest"
-
-
-def _blob_path(base) -> str:
-    return f"{base}.blob"
 
 
 def save_checkpoint(stack: ModelStack, base) -> None:
@@ -49,8 +50,8 @@ def save_checkpoint(stack: ModelStack, base) -> None:
         lines.append(f"{name}\t{shape}\tf32\t{offset}")
         chunks.append(raw)
         offset += len(raw)
-    _replace(_blob_path(base), b"".join(chunks))
-    _replace(_manifest_path(base), ("\n".join(lines) + "\n").encode())
+    _replace(f"{base}.blob", b"".join(chunks))
+    _replace(f"{base}.manifest", ("\n".join(lines) + "\n").encode())
 
 
 def _replace(path: str, data: bytes) -> None:
@@ -64,73 +65,79 @@ def _replace(path: str, data: bytes) -> None:
             os.remove(tmp)
 
 
-def _parse_header(line: str) -> dict:
+def _parse_header(line: str) -> tuple[StackDims, str]:
+    """The stack geometry and adapter activation a manifest header names."""
     if not line.startswith(MAGIC):
         raise CheckpointError(f"bad manifest header: {line[:60]!r}")
-    meta: dict[str, str] = {}
-    for part in line[len(MAGIC):].split():
-        key, _, value = part.partition("=")
-        meta[key] = value
+    meta = dict(part.partition("=")[::2] for part in line[len(MAGIC):].split())  # key=value
     required = {"kind", "L", "u", "v", "C", "ffn", "vocab", "feature_dim", "adapter_act", "eps"}
     missing = required - meta.keys()
     if missing:
         raise CheckpointError(f"manifest header missing {sorted(missing)}")
-    return meta
+    dims = StackDims(
+        L=int(meta["L"]), u=int(meta["u"]), v=int(meta["v"]), C=int(meta["C"]),
+        kind=meta["kind"], ffn=int(meta["ffn"]),
+        vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
+        feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
+    )
+    if float(meta["eps"]) != LN_EPS:
+        raise CheckpointError(f"bad manifest header: layer-norm eps {meta['eps']} is not {LN_EPS!r}")
+    return dims, meta["adapter_act"]
 
 
 def load_checkpoint(base) -> ModelStack:
-    """Rebuild a stack and restore every tensor bitwise (at f32 precision)."""
-    with open(_manifest_path(base)) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise CheckpointError(f"{_manifest_path(base)}: empty manifest")
-    meta = _parse_header(lines[0])
-    try:
-        dims = StackDims(
-            L=int(meta["L"]), u=int(meta["u"]), v=int(meta["v"]), C=int(meta["C"]),
-            kind=meta["kind"], ffn=int(meta["ffn"]),
-            vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
-            feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
-        )
-        if float(meta["eps"]) != LN_EPS:
-            raise ValueError(f"layer-norm eps {meta['eps']} is not {LN_EPS!r}")
-        stack = build_stack(dims, seed=0, adapter_activation=meta["adapter_act"])
-    except ValueError as e:
-        raise CheckpointError(f"bad manifest header: {e}") from e
-    params = named_parameters(stack)
+    """Rebuild a stack and restore every tensor bitwise (at f32 precision).
 
-    with open(_blob_path(base), "rb") as fh:
+    Only what `save_checkpoint` writes loads: a UTF-8 manifest, a blob the
+    size of the header's model (checked before any stack is built), each
+    tensor starting where the one before it ends, and finite values.
+    Anything else raises CheckpointError.
+    """
+    with open(f"{base}.manifest", "rb") as fh:
+        manifest = fh.read()
+    with open(f"{base}.blob", "rb") as fh:
         blob = fh.read()
+    try:
+        return _restore(manifest.decode("utf-8"), blob)
+    except CheckpointError:
+        raise
+    except ValueError as e:  # not UTF-8, a non-integer field, or dims or activation no stack has
+        raise CheckpointError(f"malformed manifest: {e}") from e
 
-    seen = set()
+
+def _restore(manifest: str, blob: bytes) -> ModelStack:
+    lines = [ln for ln in manifest.split("\n") if ln.strip()]
+    if not lines:
+        raise CheckpointError("empty manifest")
+    dims, activation = _parse_header(lines[0])
+    head = head_param_count(dims)
+    size = 4 * (embed_param_count(dims) + head
+                + dims.L * (layer_param_count(dims) + adapter_param_count(dims) + head))
+    if len(blob) != size:
+        raise CheckpointError(f"blob length {len(blob)} does not match the header's model ({size} bytes)")
+    stack = build_stack(dims, seed=0, adapter_activation=activation)
+    params = named_parameters(stack)
+    offset = 0  # where the next tensor starts
     for line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 4:
             raise CheckpointError(f"malformed manifest line: {line!r}")
-        name, shape_s, dtype, offset_s = fields
+        name, shape_s, dtype, at = fields
         if name not in params:
-            raise CheckpointError(f"unknown tensor name {name!r}")
+            raise CheckpointError(f"unknown tensor name {name!r}, or a repeat")
         if dtype != "f32":
             raise CheckpointError(f"{name}: unsupported dtype {dtype!r}")
-        try:
-            shape = tuple(int(d) for d in shape_s.split("x"))
-            offset = int(offset_s)
-        except ValueError as e:
-            raise CheckpointError(f"malformed manifest line: {line!r}") from e
-        if shape != params[name].shape:
-            raise CheckpointError(f"{name}: shape {shape} does not match model {params[name].shape}")
-        nbytes = 4 * int(np.prod(shape))
-        if offset < 0 or offset + nbytes > len(blob):
-            raise CheckpointError(
-                f"{name}: blob too short ({len(blob)} bytes, need {offset + nbytes})"
-            )
-        values = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=offset)
-        params[name].data = values.astype(np.float64).reshape(shape)
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise CheckpointError(f"manifest missing tensors: {sorted(missing)[:5]}")
-    expected = sum(4 * t.size for t in params.values())
-    if len(blob) != expected:
-        raise CheckpointError(f"blob length {len(blob)} does not match manifest total {expected}")
+        t = params.pop(name)
+        shape = tuple(int(d) for d in shape_s.split("x"))
+        if shape != t.shape:
+            raise CheckpointError(f"{name}: shape {shape} does not match model {t.shape}")
+        if int(at) != offset:
+            raise CheckpointError(f"{name}: offset {at} is not {offset}, where the tensor before it ends")
+        values = np.frombuffer(blob, dtype="<f4", count=t.size, offset=offset).astype(np.float64)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{name}: non-finite values in the blob")
+        t.data = values.reshape(shape)
+        offset += 4 * t.size
+    if params:
+        raise CheckpointError(f"manifest missing tensors: {sorted(params)[:5]}")
     return stack

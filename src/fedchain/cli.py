@@ -20,11 +20,12 @@ from .federation import (
     RUN_MODES,
     choose_start_layer,
     estimate_peak_memory,
+    load_dataset,
     profile_clients,
     run,
     setup,
+    stack_dims,
 )
-from .model import StackDims
 from .tensor import NumericError, ShapeMismatch
 
 EXIT_OK = 0
@@ -129,11 +130,7 @@ def _cmd_report_memory(args) -> int:
         name = args.preset
     else:
         cfg = load_config(args.config)
-        m = cfg.model
-        if (m.vocab is None) == (m.feature_dim is None):
-            raise ConfigError(["model.vocab / model.feature_dim: report-memory needs exactly one"])
-        dims = StackDims(L=m.L, u=m.u, v=m.v, C=m.classes or 2, kind=m.kind, ffn=m.ffn,
-                         vocab=m.vocab, feature_dim=m.feature_dim)
+        dims = stack_dims(cfg.model, load_dataset(cfg))  # as `run` sizes it, never built
         name = args.config
     full = estimate_peak_memory(dims, args.batch, args.seq_len, mode="full")
     chain, reduction = {}, {}

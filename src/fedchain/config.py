@@ -17,11 +17,12 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .chain import StageLossConfig
-from .data import SYNTH_KINDS
+from .data import SYNTH_KINDS, synth_dataset
 from .federation import PARTITIONS, RUN_MODES
-from .model import ACTIVATIONS, BACKBONE_KINDS
+from .model import ACTIVATIONS, BACKBONE_KINDS, StackDims
 
 DEFAULT_THRESHOLD = 0.8
+_SYNTH_DEFAULTS = synth_dataset.__kwdefaults__  # DataConfig's defaults are the generator's
 
 
 class ConfigError(ValueError):
@@ -35,10 +36,8 @@ class ModelConfig:
     L: int
     u: int
     v: int
-    kind: str = "mlp"
-    ffn: int = 0
-    vocab: int | None = None
-    feature_dim: int | None = None
+    kind: str = StackDims.kind
+    ffn: int = StackDims.ffn
     classes: int | None = None
     seed: int = 0
     init_scale: float = 1.0
@@ -52,9 +51,9 @@ class DataConfig:
     M: int = 2000
     seq_len: int = 16
     eval_fraction: float = 0.2
-    vocab: int = 50
-    signal: float = 0.35
-    noise: float = 0.12
+    vocab: int = _SYNTH_DEFAULTS["vocab"]
+    signal: float = _SYNTH_DEFAULTS["signal"]
+    noise: float = _SYNTH_DEFAULTS["noise"]
     path: str | None = None
     vocab_path: str | None = None
 
@@ -175,8 +174,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"model.kind: expected one of {tuple(BACKBONE_KINDS)}, got {model.kind!r}")
     if model.ffn < 0:
         problems.append(f"model.ffn: must be >= 0 (0 means 2*u), got {model.ffn}")
-    if model.vocab is not None and model.feature_dim is not None:
-        problems.append("model.vocab / model.feature_dim: at most one may be set")
     if model.classes is not None and model.classes < 2:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
     if not 0 < model.init_scale < float("inf"):  # nan fails too

@@ -40,9 +40,9 @@ class Dataset:
         return len(self.y)
 
 
-def synth_dataset(kind: str, M: int, C: int, seq_len: int, seed,
+def synth_dataset(kind: str, M: int, C: int, seq_len: int, seed, *,
                   vocab: int = 50, signal: float = 0.35, noise: float = 0.12) -> Dataset:
-    """Learnable synthetic tasks with round-robin balanced labels."""
+    """Learnable synthetic tasks with round-robin balanced labels; DataConfig uses these defaults."""
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
     if M < C:

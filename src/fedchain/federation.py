@@ -23,8 +23,12 @@ from .model import (
     TRAINABLE_SCHEMES,
     ModelStack,
     StackDims,
+    adapter_param_count,
     build_stack,
+    embed_param_count,
     evaluate_accuracy,
+    head_param_count,
+    layer_param_count,
     named_parameters,
 )
 from .similarity import CKAProfile, aggregate_profiles, profile_layers, select_start_layer
@@ -98,24 +102,6 @@ class ClientProfile:
     id: int
     mem_budget: float | None
     shard: np.ndarray
-
-
-def embed_param_count(dims: StackDims) -> int:
-    return dims.u * (dims.vocab if dims.vocab is not None else dims.feature_dim)
-
-
-def layer_param_count(dims: StackDims) -> int:
-    u, f = dims.u, dims.ffn_dim
-    mlp = 2 * u * f + f + 3 * u  # model.MlpLayer
-    return mlp if dims.kind == "mlp" else 4 * u * u + 2 * u + mlp  # attn-lite adds ln1 and attention
-
-
-def adapter_param_count(dims: StackDims) -> int:
-    return 2 * dims.u * dims.v
-
-
-def head_param_count(dims: StackDims) -> int:
-    return dims.u * dims.C + dims.C
 
 
 @dataclass
@@ -293,7 +279,6 @@ class Experiment:
     """What phase 1 and the rounds share: data, model, eval rows and client shards."""
 
     dataset: Dataset
-    dims: StackDims
     stack: ModelStack
     eval_idx: np.ndarray
     clients: list[ClientProfile]
@@ -303,20 +288,30 @@ class Experiment:
         return self.dataset.x.shape[1] if self.dataset.kind == "tokens" else 1
 
 
+def load_dataset(cfg) -> Dataset:
+    """The dataset a config names, drawn from the experiment seed."""
+    from .data import load_dataset_from_config
+
+    return load_dataset_from_config(cfg.data, cfg.model, [cfg.model.seed, _TAG_DATA])
+
+
+def stack_dims(model_cfg, dataset: Dataset) -> StackDims:
+    """The shape of the stack a model config trains on a dataset."""
+    return StackDims(
+        L=model_cfg.L, u=model_cfg.u, v=model_cfg.v, C=dataset.C, kind=model_cfg.kind,
+        ffn=model_cfg.ffn, vocab=dataset.vocab, feature_dim=dataset.feature_dim,
+    )
+
+
 def setup(cfg, dataset=None) -> Experiment:
     """Load the data, build the stack, split off the eval rows, shard the rest."""
-    from .data import load_dataset_from_config, train_eval_split
+    from .data import train_eval_split
 
     seed = cfg.model.seed
     if dataset is None:
-        dataset = load_dataset_from_config(cfg.data, cfg.model, [seed, _TAG_DATA])
-    dims = StackDims(
-        L=cfg.model.L, u=cfg.model.u, v=cfg.model.v, C=dataset.C, kind=cfg.model.kind,
-        ffn=cfg.model.ffn,
-        vocab=dataset.vocab if dataset.kind == "tokens" else None,
-        feature_dim=dataset.feature_dim if dataset.kind == "features" else None,
-    )
-    stack = build_stack(dims, seed=np.random.SeedSequence([seed, _TAG_STACK]),
+        dataset = load_dataset(cfg)
+    stack = build_stack(stack_dims(cfg.model, dataset),
+                        seed=np.random.SeedSequence([seed, _TAG_STACK]),
                         init_scale=cfg.model.init_scale,
                         adapter_activation=cfg.model.adapter_activation)
 
@@ -331,7 +326,7 @@ def setup(cfg, dataset=None) -> Experiment:
     budgets = fed.budgets if fed.budgets is not None else [None] * fed.N
     clients = [ClientProfile(id=i, mem_budget=budgets[i], shard=train_idx[local_shards[i]])
                for i in range(fed.N)]
-    return Experiment(dataset, dims, stack, eval_idx, clients)
+    return Experiment(dataset, stack, eval_idx, clients)
 
 
 def profile_clients(exp: Experiment) -> CKAProfile:
@@ -368,7 +363,7 @@ def choose_start_layer(cfg, exp: Experiment, mode: str,
 
 def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
     """Phase 1: the one Q all devices share, sized for the tightest budget."""
-    span = exp.dims.L - L_start + 1
+    span = exp.stack.L - L_start + 1
     keeps = RUN_MODES[mode]
     if keeps.scheme != "window":  # a baseline trains the whole span as its one window
         return span
@@ -376,7 +371,7 @@ def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
         return 1
     if cfg.federation.Q is not None:
         return min(cfg.federation.Q, span)
-    return determine_Q(min(cfg.federation.budgets), exp.dims, cfg.chain.batch, exp.seq_len,
+    return determine_Q(min(cfg.federation.budgets), exp.stack.dims, cfg.chain.batch, exp.seq_len,
                        L_start=L_start)
 
 
@@ -394,7 +389,8 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     Q = window_size(cfg, exp, mode, L_start)
 
     seed, fed = cfg.model.seed, cfg.federation
-    dataset, dims, stack, eval_idx = exp.dataset, exp.dims, exp.stack, exp.eval_idx
+    dataset, stack, eval_idx = exp.dataset, exp.stack, exp.eval_idx
+    dims = stack.dims
     schedule = WindowSchedule(L_start, dims.L, Q)
     stage_cfg = StageLossConfig(lam=cfg.chain.lam if RUN_MODES[mode].gpo else 0.0)
     sample_count = fed.resolved_sample_count()

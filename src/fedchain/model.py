@@ -208,8 +208,8 @@ class StackDims:
     feature_dim: int | None = None
 
     def __post_init__(self):
-        if self.L < 1 or self.u < 2 or self.C < 2:
-            raise ValueError(f"bad stack dims L={self.L}, u={self.u}, C={self.C}")
+        if self.L < 1 or self.u < 2 or self.C < 2 or self.ffn < 0:
+            raise ValueError(f"bad stack dims L={self.L}, u={self.u}, C={self.C}, ffn={self.ffn}")
         if not 1 <= self.v < self.u:
             raise ValueError(f"adapter bottleneck must satisfy 1 <= v < u, got {self.v} vs {self.u}")
         if self.kind not in BACKBONE_KINDS:
@@ -220,6 +220,26 @@ class StackDims:
     @property
     def ffn_dim(self) -> int:
         return self.ffn if self.ffn else 2 * self.u
+
+
+# Parameter counts in closed form; the memory model, the profiling floor and
+# the checkpoint size check all price a stack from these.
+def embed_param_count(dims: StackDims) -> int:
+    return dims.u * (dims.vocab if dims.vocab is not None else dims.feature_dim)
+
+
+def layer_param_count(dims: StackDims) -> int:
+    u, f = dims.u, dims.ffn_dim
+    mlp = 2 * u * f + f + 3 * u  # MlpLayer
+    return mlp if dims.kind == "mlp" else 4 * u * u + 2 * u + mlp  # attn-lite adds ln1 and attention
+
+
+def adapter_param_count(dims: StackDims) -> int:
+    return 2 * dims.u * dims.v
+
+
+def head_param_count(dims: StackDims) -> int:
+    return dims.u * dims.C + dims.C
 
 
 @dataclass

@@ -6,11 +6,13 @@ layer whose similarity falls below a threshold; adapter training starts there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelStack, adapter_forward
+from .model import ModelStack, adapter_forward, adapter_param_count, layer_param_count
 from .tensor import Tensor, no_grad
 
 HSIC_FLOOR = 1e-15
@@ -68,42 +70,21 @@ class CKAProfile:
                 raise ValueError(f"layer {i} score {s} outside [0, 1]")
 
 
-def _layer_bytes(stack: ModelStack) -> list[int]:
-    # f64 compute: backbone plus adapter params per layer
-    out = []
-    for unit in stack.units:
-        n = sum(t.size for t in unit.backbone.params().values())
-        n += unit.adapter.down.size + unit.adapter.up.size
-        out.append(n * 8)
-    return out
-
-
 def partition_layers(stack: ModelStack, n_rows: int, mem_budget: float) -> list[list[int]]:
-    """Greedy maximal contiguous blocks whose resident cost fits mem_budget.
+    """Maximal contiguous blocks whose resident cost fits mem_budget.
 
-    Block cost = block param bytes + carried hidden state (input and output
-    rows at width u, f64).
+    Block cost = carried hidden state (input and output rows at width u, f64)
+    plus each layer's backbone and adapter params (f64).  Every layer has one
+    shape, so the blocks are equal runs of the most layers that fit.
     """
-    carry = 2 * n_rows * stack.dims.u * 8
-    layer_bytes = _layer_bytes(stack)
-    blocks: list[list[int]] = []
-    current: list[int] = []
-    current_bytes = 0
-    for i, cost in enumerate(layer_bytes, start=1):
-        if current and current_bytes + cost <= mem_budget:
-            current.append(i)
-            current_bytes += cost
-            continue
-        if carry + cost > mem_budget:
-            raise ValueError(
-                f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer {i}"
-            )
-        if current:
-            blocks.append(current)
-        current, current_bytes = [i], carry + cost
-    if current:
-        blocks.append(current)
-    return blocks
+    dims = stack.dims
+    carry = 2 * n_rows * dims.u * 8
+    cost = 8 * (layer_param_count(dims) + adapter_param_count(dims))
+    if not carry + cost <= mem_budget:  # int-float comparisons are exact; nan fits nothing
+        raise ValueError(f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer 1")
+    fits = stack.L if mem_budget == math.inf else (Fraction(mem_budget) - carry) // cost
+    k = min(stack.L, int(fits))
+    return [list(range(lo, min(lo + k, stack.L + 1))) for lo in range(1, stack.L + 1, k)]
 
 
 def _flat_rows(h: Tensor) -> np.ndarray:

@@ -126,3 +126,32 @@ def train_depth2_reference(x_tokens, y, vocab: int, seed: int = 0, epochs: int =
     h = np.tanh(feats[te] @ w1 + b1)
     pred = (h @ w2 + b2).argmax(axis=1)
     return float((pred == y[te]).mean())
+
+
+def greedy_partition(stack, n_rows: int, mem_budget) -> list[list[int]]:
+    """Layer-by-layer greedy maximal blocks, pricing each layer from its built tensors.
+
+    Block cost = carried hidden state (input and output rows at width u, f64)
+    plus the f64 bytes of each layer's backbone and adapter tensors.
+    """
+    carry = 2 * n_rows * stack.dims.u * 8
+    blocks: list[list[int]] = []
+    current: list[int] = []
+    current_bytes = 0
+    for i, unit in enumerate(stack.units, start=1):
+        cost = 8 * (sum(t.size for t in unit.backbone.params().values())
+                    + unit.adapter.down.size + unit.adapter.up.size)
+        if current and current_bytes + cost <= mem_budget:
+            current.append(i)
+            current_bytes += cost
+            continue
+        if carry + cost > mem_budget:
+            raise ValueError(
+                f"mem_budget {mem_budget} below single-layer floor {carry + cost} at layer {i}"
+            )
+        if current:
+            blocks.append(current)
+        current, current_bytes = [i], carry + cost
+    if current:
+        blocks.append(current)
+    return blocks

@@ -8,28 +8,42 @@ than only in the harness's own smoke check.
 import dataclasses
 import importlib.util
 import inspect
+import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fedchain
-from fedchain import RunResult, StageLossConfig, StackDims, estimate_peak_memory, local_update
+from fedchain import (
+    ExperimentConfig,
+    RunResult,
+    StageLossConfig,
+    StackDims,
+    estimate_peak_memory,
+    local_update,
+    parse_config,
+)
 from fedchain.model import AttnLiteLayer
 from fedchain.tensor import Tensor
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from test_cli_properties import FIELDS
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve a class's module by name
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_restores_every_patch():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -64,7 +78,7 @@ def test_worker_calls_keep_their_keywords():
 
 def test_tracer_times_every_op_of_an_attn_lite_layer():
     # attention, then the MLP block: both halves look their ops up in fedchain.model
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     layer = AttnLiteLayer(8, 16, seed=0)
     x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)))
@@ -77,3 +91,22 @@ def test_tracer_times_every_op_of_an_attn_lite_layer():
     assert dict(calls) == {"tensor.op.layer_norm": 2, "tensor.op.gelu": 1, "tensor.op.matmul": 8,
                            "tensor.op.reshape": 6, "tensor.op.add": 2, "tensor.op.bias_add": 2,
                            "tensor.op.mul": 1, "tensor.op.softmax": 1, "tensor.op.swap_last2": 1}
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_every_workload_config_parses(tiny):
+    # a schema change that drops a field a workload sets would break the benchmark unseen
+    workloads = _load("workloads")
+    files = {"path": "data.jsonl", "vocab_path": "vocab.json"}
+    for wl in workloads.WORKLOADS.values():
+        cfg = parse_config(wl.config(files, tiny))
+        assert cfg.federation.rounds == wl.rounds_for(tiny)
+
+
+def test_property_fields_are_the_config_schema():
+    def keys(cls):
+        return tuple(f.metadata.get("json", f.name) for f in dataclasses.fields(cls))
+
+    sections = typing.get_type_hints(ExperimentConfig)
+    schema = {name: keys(cls) for name, cls in sections.items() if dataclasses.is_dataclass(cls)}
+    assert FIELDS == {**schema, None: keys(ExperimentConfig)}

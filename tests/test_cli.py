@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+import fedchain.federation
 from fedchain.checkpoint import load_checkpoint
 from fedchain.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from fedchain.config import load_config
-from fedchain.federation import RUN_MODES, run, setup
+from fedchain.federation import MEMORY_PRESETS, RUN_MODES, run, setup
 
 
 @pytest.fixture
@@ -132,7 +133,7 @@ def test_profile_agrees_with_run(tmp_path, capsys):
 
 
 ONE_ROW_SHARDS = {
-    "model": {"L": 3, "u": 8, "v": 2, "feature_dim": 2},
+    "model": {"L": 3, "u": 8, "v": 2},
     "data": {"kind": "two-moons-seq", "M": 100},
     "federation": {"N": 40, "partition": "dirichlet", "alpha": 0.05, "sample_count": 2,
                    "Q": 1, "rounds": 1},
@@ -190,16 +191,55 @@ def test_report_memory_preset(capsys):
 
 
 def test_report_memory_from_config(config_path, capsys, tmp_path):
-    raw = json.loads(config_path.read_text())
-    raw["model"]["vocab"] = 13
-    cfg2 = tmp_path / "with_vocab.json"
-    cfg2.write_text(json.dumps(raw))
     out = tmp_path / "mem.json"
-    code = main(["report-memory", "--config", str(cfg2), "--q", "1", "2",
+    code = main(["report-memory", "--config", str(config_path), "--q", "1", "2",
                  "--batch", "4", "--seq-len", "6", "--out", str(out)])
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["dims"]["L"] == 3 and payload["assumptions"]["batch"] == 4
+    assert payload["dims"]["vocab"] == 13  # the config's data, as `run` sees it
+
+
+@pytest.mark.parametrize("data", [
+    {"kind": "cluster-tokens", "M": 90, "seq_len": 5, "vocab": 17},
+    {"kind": "two-moons-seq", "M": 90},
+])
+def test_report_memory_prices_the_model_run_trains(tmp_path, capsys, data):
+    raw = {
+        "model": {"L": 3, "u": 8, "v": 2, "classes": 3 if "vocab" in data else 2, "seed": 1},
+        "data": data,
+        "federation": {"N": 3, "rounds": 1, "partition": "iid", "sample_count": 2, "Q": 2},
+        "chain": {"L_start": 1, "local_steps": 1, "batch": 8},
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw))
+    result = run(load_config(path))
+    seq_len = data.get("seq_len", 1)  # a feature row is one token
+    assert main(["report-memory", "--config", str(path), "--batch", "8",
+                 "--seq-len", str(seq_len), "--q", str(result.Q)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chain"][str(result.Q)]["peak_bytes"] == result.records[0].peak_mem_bytes
+
+
+def test_report_memory_never_builds_the_stack(tmp_path, capsys, monkeypatch):
+    # a preset-sized stack would not fit in memory; only its shape is priced
+    raw = {
+        "model": {"L": 32, "u": 4096, "v": 64, "kind": "attn-lite", "ffn": 11008},
+        "data": {"kind": "cluster-tokens", "M": 20, "seq_len": 4},
+        "federation": {"N": 2, "rounds": 1, "sample_count": 1, "Q": 1},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report-memory built a stack")
+
+    monkeypatch.setattr(fedchain.federation, "build_stack", refuse)
+    assert main(["report-memory", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    preset = MEMORY_PRESETS["llama2-7b-shaped"]
+    assert {k: payload["dims"][k] for k in ("L", "u", "v", "kind", "ffn")} == {
+        "L": preset.L, "u": preset.u, "v": preset.v, "kind": preset.kind, "ffn": preset.ffn}
 
 
 def test_report_memory_argument_errors(config_path, capsys):

@@ -22,19 +22,21 @@ BASE = {
     "chain": {"L_start": 1, "lr": 0.1, "local_steps": 1, "batch": 4},
 }
 
-# every field the schema knows, present in BASE or not; None is a whole section
+# every field the schema knows, present in BASE or not; None is the top level
 FIELDS = {
-    "model": ("L", "u", "v", "kind", "ffn", "vocab", "feature_dim", "classes", "seed",
-              "init_scale", "adapter_activation"),
+    "model": ("L", "u", "v", "kind", "ffn", "classes", "seed", "init_scale",
+              "adapter_activation"),
     "data": ("source", "kind", "M", "seq_len", "eval_fraction", "vocab", "signal", "noise",
              "path", "vocab_path"),
     "federation": ("N", "rounds", "partition", "alpha", "sample_count", "sample_fraction",
                    "budgets", "Q"),
     "chain": ("lambda", "T", "L_start", "lr", "local_steps", "batch"),
     "out": ("metrics", "checkpoint"),
-    None: ("model", "data", "federation", "chain", "mode", "out", "extra"),
+    None: ("model", "data", "federation", "chain", "mode", "out"),
 }
-PATHS = [(section, key) for section, keys in FIELDS.items() for key in keys]
+# plus one field no schema knows, and the fields ModelConfig no longer has
+PATHS = [(section, key) for section, keys in FIELDS.items() for key in keys] + [
+    (None, "extra"), ("model", "vocab"), ("model", "feature_dim")]
 
 DROP = object()
 VALUES = st.sampled_from([

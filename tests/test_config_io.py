@@ -89,7 +89,7 @@ def test_config_collects_every_problem():
 def test_config_field_validation():
     for over, needle in [
         (dict(model={"kind": "conv"}), "model.kind"),
-        (dict(model={"vocab": 10, "feature_dim": 3}), "at most one"),
+        (dict(model={"vocab": 10, "feature_dim": 3}), r"model\.vocab: unknown field"),
         (dict(model={"classes": 1}), "model.classes"),
         (dict(model={"init_scale": 0}), "model.init_scale"),
         (dict(model={"init_scale": float("inf")}), "model.init_scale"),
@@ -364,6 +364,46 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
         (tmp_path / "ckpt.manifest").write_text(bad)
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(base)
+
+
+def test_checkpoint_rejects_what_save_never_writes(tmp_path):
+    stack = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
+    base = tmp_path / "ckpt"
+    save_checkpoint(stack, base)
+    manifest = (tmp_path / "ckpt.manifest").read_bytes()
+    blob = (tmp_path / "ckpt.blob").read_bytes()
+    name, shape, dtype, offset = manifest.split(b"\n")[2].split(b"\t")  # the second tensor
+    shifted = b"\t".join((name, shape, dtype, str(int(offset) - 4).encode()))
+    nan = np.array([np.nan], dtype="<f4").tobytes()
+    for bad_manifest, bad_blob, needle in [
+        # starts inside the tensor before it, yet within the blob
+        (manifest.replace(manifest.split(b"\n")[2], shifted), blob, "offset"),
+        (manifest.replace(b"final_head.W", b"final_head.\xff"), blob, "utf-8"),
+        (manifest, blob[:-4] + nan, "non-finite"),
+    ]:
+        (tmp_path / "ckpt.manifest").write_bytes(bad_manifest)
+        (tmp_path / "ckpt.blob").write_bytes(bad_blob)
+        with pytest.raises(CheckpointError, match=needle):
+            load_checkpoint(base)
+
+
+def test_checkpoint_checks_the_blob_size_before_building(tmp_path, monkeypatch):
+    stack = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
+    base = tmp_path / "ckpt"
+    save_checkpoint(stack, base)
+    manifest = (tmp_path / "ckpt.manifest").read_text()
+    builds = []
+    monkeypatch.setattr(fedchain.checkpoint, "build_stack",
+                        lambda *a, **k: builds.append(a) or build_stack(*a, **k))
+    # a header naming a larger model than the blob holds, and a truncated blob
+    (tmp_path / "ckpt.manifest").write_text(manifest.replace(" u=8 ", " u=9000 ", 1))
+    with pytest.raises(CheckpointError, match="blob length"):
+        load_checkpoint(base)
+    (tmp_path / "ckpt.manifest").write_text(manifest)
+    (tmp_path / "ckpt.blob").write_bytes((tmp_path / "ckpt.blob").read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="blob length"):
+        load_checkpoint(base)
+    assert builds == []
 
 
 def test_checkpoint_header_is_pinned(tmp_path):

@@ -16,7 +16,7 @@ from fedchain.similarity import (
 )
 from fedchain.tensor import Tape
 
-from oracles import hsic_double_sum
+from oracles import greedy_partition, hsic_double_sum
 
 DIMS = StackDims(L=6, u=8, v=3, C=3, kind="mlp", vocab=13)
 
@@ -170,6 +170,36 @@ def test_partition_blocks_are_greedy_maximal():
     assert blocks == [[1, 2], [3, 4], [5, 6]]
     with pytest.raises(ValueError, match="floor"):
         partition_layers(stack, n_rows=10, mem_budget=carry + layer_cost - 1)
+
+
+def _partition_or_error(partition, stack, n_rows, budget):
+    try:
+        return partition(stack, n_rows, budget)
+    except ValueError as e:
+        return str(e)
+
+
+def test_partition_matches_the_greedy_oracle():
+    rng = np.random.default_rng(7)
+    for kind in ("mlp", "attn-lite"):
+        for ffn in (0, 40):
+            for L in (1, 5, 7):
+                stack = build_stack(StackDims(L=L, u=8, v=3, C=3, kind=kind, ffn=ffn, vocab=13),
+                                    seed=0)
+                unit = stack.units[0]
+                cost = 8 * (sum(t.size for t in unit.backbone.params().values())
+                            + unit.adapter.down.size + unit.adapter.up.size)
+                # and a carry near 2**61, where floats lie 512 apart: float arithmetic misplaces an edge
+                for n_rows in (10, 2**54 + 1):
+                    carry = 2 * n_rows * 8 * 8
+                    budgets = [carry + k * cost + d for k in range(L + 2) for d in (-1, 0, 1)]
+                    budgets += [float(b) for b in budgets]
+                    budgets += [int(rng.integers(carry, carry + (L + 1) * cost)) for _ in range(20)]
+                    budgets += [float(carry) * 4, 2**80, float("inf")]
+                    for budget in budgets:
+                        want = _partition_or_error(greedy_partition, stack, n_rows, budget)
+                        got = _partition_or_error(partition_layers, stack, n_rows, budget)
+                        assert got == want, (kind, ffn, L, n_rows, budget)
 
 
 # ---------------------------------------------------------------- aggregation, selection
