@@ -62,9 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mem.add_argument("--config", help="experiment config JSON supplying model dims")
     p_mem.add_argument("--preset", choices=sorted(MEMORY_PRESETS),
                        help="built-in model shape instead of --config")
-    p_mem.add_argument("--q", type=int, nargs="+", default=[6, 7, 8], help="window sizes to sweep")
-    p_mem.add_argument("--batch", type=int, default=DEFAULT_ASSUMPTIONS["batch"])
-    p_mem.add_argument("--seq-len", type=int, default=DEFAULT_ASSUMPTIONS["seq_len"])
+    # left unset, these price what `run` trains on a config, or the preset assumptions
+    p_mem.add_argument("--q", type=int, nargs="+",
+                       help="window sizes to sweep (config: federation.Q, else 1..L; preset: 6 7 8)")
+    p_mem.add_argument("--batch", type=int, help="rows per step (config: chain.batch; preset: 16)")
+    p_mem.add_argument("--seq-len", type=int,
+                       help="tokens per row (config: the data's; preset: 512)")
     p_mem.add_argument("--out")
     return parser
 
@@ -128,22 +131,30 @@ def _cmd_report_memory(args) -> int:
     if args.preset:
         dims = MEMORY_PRESETS[args.preset]
         name = args.preset
+        batch, seq_len = DEFAULT_ASSUMPTIONS["batch"], DEFAULT_ASSUMPTIONS["seq_len"]
+        qs = [6, 7, 8]
     else:
         cfg = load_config(args.config)
-        dims = stack_dims(cfg.model, load_dataset(cfg))  # as `run` sizes it, never built
+        dataset = load_dataset(cfg)
+        dims = stack_dims(cfg.model, dataset)  # as `run` sizes it, never built
         name = args.config
-    full = estimate_peak_memory(dims, args.batch, args.seq_len, mode="full")
+        batch, seq_len = cfg.chain.batch, dataset.seq_len
+        qs = [cfg.federation.Q] if cfg.federation.Q is not None else list(range(1, dims.L + 1))
+    batch = batch if args.batch is None else args.batch
+    seq_len = seq_len if args.seq_len is None else args.seq_len
+    qs = qs if args.q is None else args.q
+    full = estimate_peak_memory(dims, batch, seq_len, mode="full")
     chain, reduction = {}, {}
-    for q in args.q:
+    for q in qs:
         if not 1 <= q <= dims.L:
             raise ConfigError([f"--q: must lie in [1, L={dims.L}], got {q}"])
-        report = estimate_peak_memory(dims, args.batch, args.seq_len, Q=q)
+        report = estimate_peak_memory(dims, batch, seq_len, Q=q)
         chain[str(q)] = report.as_dict()
         reduction[str(q)] = 1.0 - report.peak_bytes / full.peak_bytes
     payload = {
         "model": name,
         "dims": {**asdict(dims), "ffn": dims.ffn_dim},
-        "assumptions": {**DEFAULT_ASSUMPTIONS, "batch": args.batch, "seq_len": args.seq_len},
+        "assumptions": {**DEFAULT_ASSUMPTIONS, "batch": batch, "seq_len": seq_len},
         "full": full.as_dict(),
         "chain": chain,
         "reduction": reduction,

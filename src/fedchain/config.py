@@ -6,13 +6,15 @@ key differs from its name only where its metadata says so.  `null` is
 accepted only where the annotation admits `None`.
 
 Validation is total and runs in two passes.  The first reports every
-missing, unknown, null or mistyped field with its path; once the shapes
-are right, the second reports every range and cross-field violation.
-Nothing raises bare KeyErrors or returns partial state.
+missing, unknown, null or mistyped field with its path (a float field
+must also be finite); once the shapes are right, the second reports every
+range and cross-field violation.  Nothing raises bare KeyErrors or returns
+partial state.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -101,7 +103,7 @@ class ExperimentConfig:
     out: OutConfig = field(default_factory=OutConfig)
 
 
-_TYPE_NAMES = {bool: "bool", int: "int", float: "number", str: "string", list: "list"}
+_TYPE_NAMES = {bool: "bool", int: "int", float: "finite number", str: "string", list: "list"}
 _WRONG = object()
 
 
@@ -119,11 +121,16 @@ def _field_type(hint) -> tuple[type, bool]:
 
 
 def _typed(value, kind):
-    """`value` as a `kind`, or _WRONG.  JSON integers are numbers; bools are only bools."""
+    """`value` as a `kind`, or _WRONG.  JSON integers are numbers; bools are only bools;
+    a number is finite (json reads NaN and Infinity)."""
     if isinstance(value, bool) != (kind is bool):
         return _WRONG
-    if kind is float and isinstance(value, int):
-        return float(value)
+    if kind is float and isinstance(value, (int, float)):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            return _WRONG
+        return value if math.isfinite(value) else _WRONG
     return value if isinstance(value, kind) else _WRONG
 
 
@@ -176,8 +183,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"model.ffn: must be >= 0 (0 means 2*u), got {model.ffn}")
     if model.classes is not None and model.classes < 2:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
-    if not 0 < model.init_scale < float("inf"):  # nan fails too
-        problems.append(f"model.init_scale: must be finite and > 0, got {model.init_scale}")
+    if model.init_scale <= 0:
+        problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
     if model.adapter_activation not in ACTIVATIONS:
         problems.append(f"model.adapter_activation: unknown activation {model.adapter_activation!r}")
 
@@ -217,7 +224,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if federation.budgets is not None:
         if len(federation.budgets) != federation.N:
             problems.append(f"federation.budgets: need one budget per client (N={federation.N}), got {len(federation.budgets)}")
-        elif any(not isinstance(b, (int, float)) or isinstance(b, bool) or b <= 0 for b in federation.budgets):
+        elif any(not isinstance(b, (int, float)) or isinstance(b, bool) or not b > 0
+                 for b in federation.budgets):  # +inf is no limit; NaN is no number
             problems.append("federation.budgets: every budget must be a positive number")
     if federation.Q is not None and not 1 <= federation.Q <= model.L:
         problems.append(f"federation.Q: must lie in [1, L={model.L}], got {federation.Q}")

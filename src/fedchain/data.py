@@ -39,6 +39,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.y)
 
+    @property
+    def seq_len(self) -> int:
+        """Tokens per row; a feature row is one token."""
+        return self.x.shape[1] if self.kind == "tokens" else 1
+
 
 def synth_dataset(kind: str, M: int, C: int, seq_len: int, seed, *,
                   vocab: int = 50, signal: float = 0.35, noise: float = 0.12) -> Dataset:

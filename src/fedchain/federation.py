@@ -76,7 +76,7 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> list[np.n
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     rng = np.random.default_rng(seed)
-    classes = np.unique(labels)
+    classes = sorted(set(labels.tolist()))  # np.unique's order; it would import numpy.ma
     shards: list[list[int]] = []
     for _ in range(100):
         shards = [[] for _ in range(n_clients)]
@@ -283,10 +283,6 @@ class Experiment:
     eval_idx: np.ndarray
     clients: list[ClientProfile]
 
-    @property
-    def seq_len(self) -> int:
-        return self.dataset.x.shape[1] if self.dataset.kind == "tokens" else 1
-
 
 def load_dataset(cfg) -> Dataset:
     """The dataset a config names, drawn from the experiment seed."""
@@ -338,7 +334,7 @@ def profile_clients(exp: Experiment) -> CKAProfile:
     per_client = []
     for c in exp.clients:
         take = c.shard[: min(64, len(c.shard))]
-        if len(take) * exp.seq_len >= 2:
+        if len(take) * exp.dataset.seq_len >= 2:
             per_client.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
     if not per_client:
         raise ValueError("no client holds the 2 activation rows CKA profiling needs")
@@ -371,8 +367,8 @@ def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
         return 1
     if cfg.federation.Q is not None:
         return min(cfg.federation.Q, span)
-    return determine_Q(min(cfg.federation.budgets), exp.stack.dims, cfg.chain.batch, exp.seq_len,
-                       L_start=L_start)
+    return determine_Q(min(cfg.federation.budgets), exp.stack.dims, cfg.chain.batch,
+                       exp.dataset.seq_len, L_start=L_start)
 
 
 def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
@@ -394,7 +390,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     schedule = WindowSchedule(L_start, dims.L, Q)
     stage_cfg = StageLossConfig(lam=cfg.chain.lam if RUN_MODES[mode].gpo else 0.0)
     sample_count = fed.resolved_sample_count()
-    peak = estimate_peak_memory(dims, cfg.chain.batch, exp.seq_len, Q=Q,
+    peak = estimate_peak_memory(dims, cfg.chain.batch, exp.dataset.seq_len, Q=Q,
                                 scheme=RUN_MODES[mode].scheme).peak_bytes
 
     mutable = _mutable_parameters(stack)

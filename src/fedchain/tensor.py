@@ -39,7 +39,9 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    # One pass that allocates nothing: a NaN or Inf makes the sum non-finite.  A finite
+    # array whose sum overflows (numpy warns) is told apart by the exact elementwise test.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError("tensor holds non-finite values")
 
 
@@ -253,12 +255,34 @@ _GELU_A = 0.044715
 
 
 def _gelu(x: np.ndarray, want_slope: bool):
-    th = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    value = 0.5 * x * (1.0 + th)
+    # th = tanh(c x (1 + a x^2)), value = 0.5 (1 + th) x,
+    # slope = 0.5 (1 + th) (1 + x (1 - th) c (1 + 3a x^2)).
+    # numpy's pow is slow, so the cube is two products, and every array after the
+    # first is written in place: at most three [n, f] arrays live, never one in x.
+    th = x * x
+    th *= _GELU_A
+    th += 1.0
+    th *= x
+    th *= _GELU_C
+    np.tanh(th, out=th)
     if not want_slope:
-        return value, None
-    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    return value, 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+        th += 1.0
+        th *= 0.5
+        th *= x
+        return th, None
+    half = th + 1.0
+    half *= 0.5
+    slope = x * x
+    slope *= 3.0 * _GELU_A
+    slope += 1.0
+    slope *= _GELU_C
+    np.subtract(1.0, th, out=th)
+    th *= x
+    slope *= th
+    slope += 1.0
+    slope *= half
+    half *= x
+    return half, slope
 
 
 def _tanh(x: np.ndarray, want_slope: bool):
@@ -381,10 +405,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match last axis of {x.shape}"
         )
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (xd - mu) * inv
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
 
     def grad_fn(g):
         dxhat = g * gain.data

@@ -23,6 +23,15 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def gelu_pow(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-approximation gelu and its slope, written with numpy's pow as the textbook does."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    th = np.tanh(c * (x + a * x**3))
+    value = 0.5 * x * (1.0 + th)
+    d_inner = c * (1.0 + 3.0 * a * x**2)
+    return value, 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+
+
 def finite_difference(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
     """Central differences of the scalar f() w.r.t. arrays mutated in place."""
     grads = []

@@ -198,6 +198,14 @@ def test_report_memory_from_config(config_path, capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["dims"]["L"] == 3 and payload["assumptions"]["batch"] == 4
     assert payload["dims"]["vocab"] == 13  # the config's data, as `run` sees it
+    # a config without Q sweeps every window size at its own batch and sequence length
+    raw = json.loads(config_path.read_text())
+    raw["federation"].update(Q=None, budgets=[1e9] * 3)
+    config_path.write_text(json.dumps(raw))
+    assert main(["report-memory", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert list(payload["chain"]) == ["1", "2", "3"]
+    assert (payload["assumptions"]["batch"], payload["assumptions"]["seq_len"]) == (16, 6)
 
 
 @pytest.mark.parametrize("data", [
@@ -219,6 +227,11 @@ def test_report_memory_prices_the_model_run_trains(tmp_path, capsys, data):
                  "--seq-len", str(seq_len), "--q", str(result.Q)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["chain"][str(result.Q)]["peak_bytes"] == result.records[0].peak_mem_bytes
+    # with no flags, batch, sequence length and Q come from the config and its data
+    assert main(["report-memory", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["chain"]) == ["2"]
+    assert payload["chain"]["2"]["peak_bytes"] == result.records[0].peak_mem_bytes
 
 
 def test_report_memory_never_builds_the_stack(tmp_path, capsys, monkeypatch):

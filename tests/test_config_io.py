@@ -94,6 +94,7 @@ def test_config_field_validation():
         (dict(model={"init_scale": 0}), "model.init_scale"),
         (dict(model={"init_scale": float("inf")}), "model.init_scale"),
         (dict(model={"init_scale": float("nan")}), "model.init_scale"),
+        (dict(model={"init_scale": 10**400}), "model.init_scale: expected finite number"),
         (dict(data={"eval_fraction": 1.0}), "data.eval_fraction"),
         (dict(data={"kind": "spirals"}), "data.kind"),
         (dict(federation={"alpha": -1}), "federation.alpha"),
@@ -128,6 +129,13 @@ def test_config_budget_per_client_check():
         parse_config(_raw(federation={"Q": None, "budgets": [1e9, 1e9]}))
     with pytest.raises(ConfigError, match="positive"):
         parse_config(_raw(federation={"Q": None, "budgets": [1e9, -1, 1e9, 1e9]}))
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ConfigError, match="positive"):
+            parse_config(_raw(federation={"Q": None, "budgets": [1e9, bad, 1e9, 1e9]}))
+    # an infinite budget is no limit, which partition_layers handles
+    inf = float("inf")
+    assert parse_config(_raw(federation={"Q": None, "budgets": [inf] * 4})).federation.budgets \
+        == [inf] * 4
 
 
 def test_config_round_trip_is_a_fixpoint():

@@ -2,6 +2,7 @@
 tape semantics."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fedchain.tensor import (
     ShapeMismatch,
     Tape,
     Tensor,
+    _gelu,
     adapter_chain,
     add,
     backward,
@@ -31,7 +33,7 @@ from fedchain.tensor import (
     tanh,
 )
 
-from oracles import finite_difference, matmul_triple_loop, max_relative_error
+from oracles import finite_difference, gelu_pow, matmul_triple_loop, max_relative_error
 
 FD_TOL = 1e-4
 
@@ -83,6 +85,38 @@ def test_gelu_frozen_values():
     for x, want in GELU_KNOWN:
         got = gelu(Tensor([x])).data[0]
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_gelu_matches_the_pow_formula_and_leaves_its_input_alone():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.linspace(-1e3, 1e3, 20001), rng.normal(size=5000),
+                        3.0 * rng.normal(size=5000)])
+    before = x.copy()
+    want_value, want_slope = gelu_pow(x)
+    value, slope = _gelu(x, True)
+    np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=4e-15)
+    np.testing.assert_allclose(slope, want_slope, rtol=1e-12, atol=4e-15)
+    assert np.array_equal(_gelu(x, False)[0], value)
+    assert np.array_equal(x, before)
+
+
+def test_recording_gelu_peaks_no_higher_than_the_pow_formula():
+    x = np.random.default_rng(6).normal(size=(512, 64))
+    xt = Tensor(x, requires_grad=True)
+    tracemalloc.start()
+    try:
+        outputs = gelu_pow(x)
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+        del outputs
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape():
+            out = gelu(xt)
+            op_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad  # it recorded, so its slope was computed and kept
+    assert op_peak <= oracle_peak
 
 
 def test_gelu_near_identity_for_large_inputs():
@@ -435,6 +469,23 @@ def test_non_finite_construction_raises():
         Tensor([np.nan])
     with pytest.raises(NumericError):
         Tensor([np.inf, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_entry_anywhere_raises(shape, bad):
+    size = math.prod(shape)
+    for pos in (0, size // 2, size - 1):
+        arr = np.arange(size, dtype=np.float64)
+        arr[pos] = bad
+        with pytest.raises(NumericError):
+            Tensor(arr.reshape(shape))
+
+
+def test_finite_values_whose_sum_overflows_pass():
+    with np.errstate(over="ignore"):  # the sum overflows; the values are finite
+        t = Tensor([1e308, 1e308])
+    assert t.data.tolist() == [1e308, 1e308]
 
 
 def test_overflow_in_op_raises_numeric_error():
