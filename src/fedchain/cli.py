@@ -25,6 +25,7 @@ from .federation import (
     run,
     setup,
     stack_dims,
+    window_size,
 )
 from .tensor import NumericError, ShapeMismatch
 
@@ -139,7 +140,12 @@ def _cmd_report_memory(args) -> int:
         dims = stack_dims(cfg.model, dataset)  # as `run` sizes it, never built
         name = args.config
         batch, seq_len = cfg.chain.batch, dataset.seq_len
-        qs = [cfg.federation.Q] if cfg.federation.Q is not None else list(range(1, dims.L + 1))
+        qs = list(range(1, dims.L + 1))
+        if cfg.federation.Q is not None:
+            # the chain trains no more layers than lie from its start layer up; a start
+            # layer CKA picks (chain.T) is unknown here, since report-memory never profiles
+            L_start = cfg.chain.L_start or 1
+            qs = [window_size(cfg, dims, seq_len, "chainfed", L_start)]
     batch = batch if args.batch is None else args.batch
     seq_len = seq_len if args.seq_len is None else args.seq_len
     qs = qs if args.q is None else args.q

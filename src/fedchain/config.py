@@ -21,10 +21,11 @@ from typing import get_args, get_origin, get_type_hints
 from .chain import StageLossConfig
 from .data import SYNTH_KINDS, synth_dataset
 from .federation import PARTITIONS, RUN_MODES
-from .model import ACTIVATIONS, BACKBONE_KINDS, StackDims
+from .model import ACTIVATIONS, BACKBONE_KINDS, StackDims, build_stack
 
 DEFAULT_THRESHOLD = 0.8
 _SYNTH_DEFAULTS = synth_dataset.__kwdefaults__  # DataConfig's defaults are the generator's
+_STACK_DEFAULTS = build_stack.__kwdefaults__  # and ModelConfig's are the stack builder's
 
 
 class ConfigError(ValueError):
@@ -41,9 +42,9 @@ class ModelConfig:
     kind: str = StackDims.kind
     ffn: int = StackDims.ffn
     classes: int | None = None
-    seed: int = 0
-    init_scale: float = 1.0
-    adapter_activation: str = "gelu"
+    seed: int = _STACK_DEFAULTS["seed"]
+    init_scale: float = _STACK_DEFAULTS["init_scale"]
+    adapter_activation: str = _STACK_DEFAULTS["adapter_activation"]
 
 
 @dataclass

@@ -357,9 +357,9 @@ def choose_start_layer(cfg, exp: Experiment, mode: str,
     return select_start_layer(profile, cfg.chain.T), profile
 
 
-def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
+def window_size(cfg, dims: StackDims, seq_len: int, mode: str, L_start: int) -> int:
     """Phase 1: the one Q all devices share, sized for the tightest budget."""
-    span = exp.stack.L - L_start + 1
+    span = dims.L - L_start + 1
     keeps = RUN_MODES[mode]
     if keeps.scheme != "window":  # a baseline trains the whole span as its one window
         return span
@@ -367,8 +367,8 @@ def window_size(cfg, exp: Experiment, mode: str, L_start: int) -> int:
         return 1
     if cfg.federation.Q is not None:
         return min(cfg.federation.Q, span)
-    return determine_Q(min(cfg.federation.budgets), exp.stack.dims, cfg.chain.batch,
-                       exp.dataset.seq_len, L_start=L_start)
+    return determine_Q(min(cfg.federation.budgets), dims, cfg.chain.batch, seq_len,
+                       L_start=L_start)
 
 
 def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
@@ -382,7 +382,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
         raise ValueError(f"unknown run mode {mode!r}")
     exp = setup(cfg, dataset)
     L_start, profile = choose_start_layer(cfg, exp, mode)
-    Q = window_size(cfg, exp, mode, L_start)
+    Q = window_size(cfg, exp.stack.dims, exp.dataset.seq_len, mode, L_start)
 
     seed, fed = cfg.model.seed, cfg.federation
     dataset, stack, eval_idx = exp.dataset, exp.stack, exp.eval_idx

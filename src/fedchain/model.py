@@ -37,10 +37,13 @@ class AdapterParams:
 
     down: Tensor  # [u, v]
     up: Tensor  # [v, u]
-    activation: str = "gelu"
+    activation: str
 
 
-def init_adapter(u: int, v: int, seed, activation: str = "gelu") -> AdapterParams:
+ADAPTER_ACTIVATION = "gelu"  # the adapters' activation unless a caller names another
+
+
+def init_adapter(u: int, v: int, seed, activation: str = ADAPTER_ACTIVATION) -> AdapterParams:
     """Identity-start init: down ~ U(+-1/sqrt(u)), up = 0."""
     if not 1 <= v < u:
         raise ValueError(f"adapter bottleneck must satisfy 1 <= v < u, got u={u}, v={v}")
@@ -71,6 +74,7 @@ class MlpLayer:
     """Pre-norm residual feed-forward block: x + W2 gelu(W1 LN(x) + b1) + b2."""
 
     kind = "mlp"
+    mixes_tokens = False  # each [u] row maps on its own
 
     def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
         rng = np.random.default_rng(seed)  # a Generator passes through: a caller's draws continue
@@ -106,6 +110,7 @@ class AttnLiteLayer:
     """Single-head pre-norm residual self-attention, then the MlpLayer block."""
 
     kind = "attn-lite"
+    mixes_tokens = True
 
     def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
         rng = np.random.default_rng(seed)
@@ -172,13 +177,17 @@ class TokenEmbedding:
         self.vocab = vocab
         self.table = Tensor(rng.standard_normal((vocab, u)))
 
-    def __call__(self, ids) -> Tensor:
+    def validate(self, ids) -> np.ndarray:
+        """The token batch as an integer [batch, tokens] array of in-vocab ids."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer):
             raise ShapeMismatch(f"token batch must be integer [batch, tokens], got {ids.shape} {ids.dtype}")
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab):
             raise ValueError(f"token id out of range for vocab {self.vocab}")
-        return Tensor(self.table.data[ids])
+        return ids
+
+    def __call__(self, ids) -> Tensor:
+        return Tensor(self.table.data[self.validate(ids)])
 
 
 class FeatureEmbedding:
@@ -251,7 +260,7 @@ class LayerUnit:
 
 class ModelStack:
     def __init__(self, dims: StackDims, embed, units: list[LayerUnit], final_head: LocalHead,
-                 adapter_activation: str = "gelu"):
+                 adapter_activation: str):
         self.dims = dims
         self.embed = embed
         self.units = units
@@ -263,9 +272,14 @@ class ModelStack:
         return len(self.units)
 
 
-def build_stack(dims: StackDims, seed: int = 0, init_scale: float = 1.0,
-                adapter_activation: str = "gelu", identity_backbone: bool = False) -> ModelStack:
-    """Deterministically initialize a full stack from one master seed."""
+def build_stack(dims: StackDims, *, seed: int = 0, init_scale: float = 1.0,
+                adapter_activation: str = ADAPTER_ACTIVATION,
+                identity_backbone: bool = False) -> ModelStack:
+    """Deterministically initialize a full stack from one master seed.
+
+    config.ModelConfig takes its seed, init_scale and adapter_activation
+    defaults from here.
+    """
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = entropy.spawn(3 * dims.L + 2)
     it = iter(children)
@@ -283,6 +297,19 @@ def build_stack(dims: StackDims, seed: int = 0, init_scale: float = 1.0,
         units.append(LayerUnit(backbone, adapter, head))
     final_head = LocalHead(dims.u, dims.C, next(it))
     return ModelStack(dims, embed, units, final_head, adapter_activation)
+
+
+def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
+    """Layers lo..hi, each as backbone-then-adapter, on h (the output of layer lo-1).
+
+    The one walk of the stack: training, eval and CKA profiling all run
+    their layers through it.  lo = hi + 1 applies nothing.
+    """
+    if not 1 <= lo <= hi + 1 <= stack.L + 1:
+        raise ValueError(f"layers {lo}..{hi} not within 1..{stack.L}")
+    for unit in stack.units[lo - 1:hi]:
+        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+    return h
 
 
 def forward_through(stack: ModelStack, x, upto: int | None = None,
@@ -307,9 +334,38 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
     for i in range(1, upto + 1):
         if i not in active and not h.requires_grad:
             releasable.append(i)
-        unit = stack.units[i - 1]
-        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+        h = apply_layers(stack, h, i, i)
     return h, releasable
+
+
+def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
+    """What a no-grad walk of the whole stack embeds in place of x, and how to read it back.
+
+    Where no layer mixes tokens, a token row's hidden state at every layer
+    is a function of its id alone.  The walk then embeds each distinct id of
+    x once, as a [k, 1] batch, and the [b, t] index maps every row of x to
+    its id's row (see `gather_rows`).  Otherwise, and on fewer than 2
+    distinct ids, the walk embeds x itself, with no index: a one-row matmul
+    is not bitwise a row of a many-row one, while k >= 2 rows are.
+    Callers embed the result inside the call to the walk, so that no
+    frame holds the embedded input while the layers run.
+    """
+    embed = stack.embed
+    if isinstance(embed, TokenEmbedding) and not any(unit.backbone.mixes_tokens
+                                                     for unit in stack.units):
+        ids = embed.validate(x)
+        present = np.bincount(ids.ravel())  # np.unique would import numpy.ma
+        distinct = np.flatnonzero(present)
+        if distinct.size >= 2:
+            slot = np.zeros(present.size, dtype=np.intp)
+            slot[distinct] = np.arange(distinct.size)
+            return distinct[:, None], slot[ids]
+    return x, None
+
+
+def gather_rows(h: Tensor, index: np.ndarray | None) -> Tensor:
+    """The [b, t, u] hidden state of every row of x, from a walk of walk_input(stack, x)."""
+    return h if index is None else Tensor(h.data.reshape(-1, h.shape[-1])[index])
 
 
 def local_loss(stack: ModelStack, hidden: Tensor, layer_idx: int, labels) -> Tensor:
@@ -341,7 +397,8 @@ def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
 
 def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
     with no_grad():
-        h, _ = forward_through(stack, x)
+        x, index = walk_input(stack, x)
+        h = gather_rows(apply_layers(stack, stack.embed(x), 1, stack.L), index)
         pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 

@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelStack, adapter_forward, adapter_param_count, layer_param_count
+from .model import (
+    ModelStack,
+    adapter_param_count,
+    apply_layers,
+    gather_rows,
+    layer_param_count,
+    walk_input,
+)
 from .tensor import Tensor, no_grad
 
 HSIC_FLOOR = 1e-15
@@ -45,14 +52,29 @@ def hsic_linear(zi, zj) -> float:
     return float((cross * cross).sum()) / (n - 1) ** 2
 
 
+def _hsic_centered(ci: np.ndarray, cj: np.ndarray) -> float:
+    """hsic_linear on arguments already centered and checked."""
+    cross = ci.T @ cj
+    return float((cross * cross).sum()) / (ci.shape[0] - 1) ** 2
+
+
 def cka(zi, zj) -> float:
-    """CKA(zi, zj) = HSIC(zi, zj) / sqrt(HSIC(zi, zi) HSIC(zj, zj))."""
-    self_i = hsic_linear(zi, zi)
-    self_j = hsic_linear(zj, zj)
+    """CKA(zi, zj) = HSIC(zi, zj) / sqrt(HSIC(zi, zi) HSIC(zj, zj)).
+
+    Each argument is validated and centered once; the three HSICs are
+    bitwise those of hsic_linear.
+    """
+    zi, zj = _activation_matrix(zi), _activation_matrix(zj)
+    if zj.shape[0] != zi.shape[0]:
+        raise ValueError(f"row counts differ: {zi.shape[0]} vs {zj.shape[0]}")
+    ci, cj = zi - zi.mean(axis=0), zj - zj.mean(axis=0)
+    # c.T @ c on one buffer runs as syrk, which is not bitwise hsic_linear's gemm
+    self_i = _hsic_centered(ci, ci.copy())
+    self_j = _hsic_centered(cj, cj.copy())
     if self_i <= HSIC_FLOOR or self_j <= HSIC_FLOOR:
         which = "first" if self_i <= HSIC_FLOOR else "second"
         raise DegenerateSimilarity(f"{which} argument has near-zero self-HSIC; CKA undefined")
-    return float(hsic_linear(zi, zj) / np.sqrt(self_i * self_j))
+    return float(_hsic_centered(ci, cj) / np.sqrt(self_i * self_j))
 
 
 @dataclass
@@ -98,11 +120,15 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
 
     Layers run block by block under the memory budget; only the inter-block
     hidden state is carried across blocks (transient compute, immediate
-    eviction).  The profile is independent of the chosen partition.
+    eviction).  The profile is independent of the chosen partition.  The
+    walk takes each distinct token id once where it can (model.walk_input);
+    the partition and the CKA rows are those of the whole batch.
     """
     with no_grad():
-        z0 = stack.embed(batch)
-        n_rows = z0.shape[0] * z0.shape[1]
+        batch, index = walk_input(stack, batch)
+        h = stack.embed(batch)
+        z0_rows = _flat_rows(gather_rows(h, index))
+        n_rows = z0_rows.shape[0]
         if blocks is None:
             if mem_budget is None:
                 blocks = [list(range(1, stack.L + 1))]
@@ -110,15 +136,12 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
                 blocks = partition_layers(stack, n_rows, mem_budget)
         if [i for blk in blocks for i in blk] != list(range(1, stack.L + 1)):
             raise ValueError(f"blocks {blocks} do not cover layers 1..{stack.L} in order")
-        z0_rows = _flat_rows(z0)
         scores: list[float] = []
-        h = z0
         for blk in blocks:
             h = Tensor(h.data)  # fresh carried hidden; previous block evicted
             for i in blk:
-                unit = stack.units[i - 1]
-                h = adapter_forward(unit.backbone.forward(h), unit.adapter)
-                scores.append(cka(_flat_rows(h), z0_rows))
+                h = apply_layers(stack, h, i, i)
+                scores.append(cka(_flat_rows(gather_rows(h, index)), z0_rows))
     return CKAProfile(scores=scores, sample_weight=n_rows)
 
 

@@ -234,6 +234,24 @@ def test_report_memory_prices_the_model_run_trains(tmp_path, capsys, data):
     assert payload["chain"]["2"]["peak_bytes"] == result.records[0].peak_mem_bytes
 
 
+def test_report_memory_prices_the_window_run_trains_above_a_pinned_start(tmp_path, capsys):
+    # from L_start = L only one layer is left to train, so `run` trains Q = 1, not the config's 2
+    raw = {
+        "model": {"L": 3, "u": 8, "v": 2, "classes": 2, "seed": 1},
+        "data": {"kind": "cluster-tokens", "M": 90, "seq_len": 5, "vocab": 17},
+        "federation": {"N": 3, "rounds": 1, "partition": "iid", "sample_count": 2, "Q": 2},
+        "chain": {"L_start": 3, "local_steps": 1, "batch": 8},
+    }
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw))
+    result = run(load_config(path))
+    assert (result.Q, result.records[0].peak_mem_bytes) == (1, 3336)
+    assert main(["report-memory", "--config", str(path)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["chain"]) == ["1"]
+    assert payload["chain"]["1"]["peak_bytes"] == 3336
+
+
 def test_report_memory_never_builds_the_stack(tmp_path, capsys, monkeypatch):
     # a preset-sized stack would not fit in memory; only its shape is priced
     raw = {

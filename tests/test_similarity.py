@@ -83,6 +83,19 @@ def test_cka_returns_python_float():
     assert type(cka(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))) is float
 
 
+@pytest.mark.parametrize("n, di, dj", [(2, 1, 1), (9, 4, 3), (1024, 8, 8), (1024, 32, 32),
+                                       (1024, 32, 8), (6400, 8, 32)])
+def test_cka_is_bitwise_the_three_hsic_formula(n, di, dj):
+    # cka centers each argument once; at n=1024 with 8 columns a self-product on one
+    # buffer (syrk) differs from hsic_linear's in the last bits
+    rng = np.random.default_rng(n + di + dj)
+    for _ in range(3):
+        zi = rng.normal(size=(n, di)) * rng.uniform(0.1, 10.0) + rng.normal()
+        zj = zi[:, :1] * rng.normal(size=dj) + rng.normal(size=(n, dj))
+        want = hsic_linear(zi, zj) / np.sqrt(hsic_linear(zi, zi) * hsic_linear(zj, zj))
+        assert cka(zi, zj) == float(want)
+
+
 def test_degenerate_inputs_raise():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(6, 3))
