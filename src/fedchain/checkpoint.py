@@ -23,7 +23,7 @@ from .model import (
     layer_param_count,
     named_parameters,
 )
-from .tensor import LN_EPS
+from .tensor import ADAPTER_ACT, LN_EPS
 
 MAGIC = "# fedchain-checkpoint v1"
 
@@ -36,10 +36,7 @@ def save_checkpoint(stack: ModelStack, base) -> None:
     dims = stack.dims
     header = (
         f"{MAGIC} kind={dims.kind} L={dims.L} u={dims.u} v={dims.v} C={dims.C}"
-        f" ffn={dims.ffn_dim}"
-        f" vocab={dims.vocab if dims.vocab is not None else '-'}"
-        f" feature_dim={dims.feature_dim if dims.feature_dim is not None else '-'}"
-        f" adapter_act={stack.adapter_activation} eps={LN_EPS!r}"
+        f" ffn={dims.ffn_dim} vocab={dims.vocab} adapter_act={ADAPTER_ACT} eps={LN_EPS!r}"
     )
     lines = [header]
     chunks = []
@@ -65,24 +62,25 @@ def _replace(path: str, data: bytes) -> None:
             os.remove(tmp)
 
 
-def _parse_header(line: str) -> tuple[StackDims, str]:
-    """The stack geometry and adapter activation a manifest header names."""
+def _parse_header(line: str) -> StackDims:
+    """The stack geometry a manifest header names."""
     if not line.startswith(MAGIC):
         raise CheckpointError(f"bad manifest header: {line[:60]!r}")
     meta = dict(part.partition("=")[::2] for part in line[len(MAGIC):].split())  # key=value
-    required = {"kind", "L", "u", "v", "C", "ffn", "vocab", "feature_dim", "adapter_act", "eps"}
+    required = {"kind", "L", "u", "v", "C", "ffn", "vocab", "adapter_act", "eps"}
     missing = required - meta.keys()
     if missing:
         raise CheckpointError(f"manifest header missing {sorted(missing)}")
     dims = StackDims(
         L=int(meta["L"]), u=int(meta["u"]), v=int(meta["v"]), C=int(meta["C"]),
-        kind=meta["kind"], ffn=int(meta["ffn"]),
-        vocab=None if meta["vocab"] == "-" else int(meta["vocab"]),
-        feature_dim=None if meta["feature_dim"] == "-" else int(meta["feature_dim"]),
+        kind=meta["kind"], ffn=int(meta["ffn"]), vocab=int(meta["vocab"]),
     )
     if float(meta["eps"]) != LN_EPS:
         raise CheckpointError(f"bad manifest header: layer-norm eps {meta['eps']} is not {LN_EPS!r}")
-    return dims, meta["adapter_act"]
+    if meta["adapter_act"] != ADAPTER_ACT:
+        raise CheckpointError(f"bad manifest header: adapter activation {meta['adapter_act']!r}"
+                              f" is not {ADAPTER_ACT!r}")
+    return dims
 
 
 def load_checkpoint(base) -> ModelStack:
@@ -101,7 +99,7 @@ def load_checkpoint(base) -> ModelStack:
         return _restore(manifest.decode("utf-8"), blob)
     except CheckpointError:
         raise
-    except ValueError as e:  # not UTF-8, a non-integer field, or dims or activation no stack has
+    except ValueError as e:  # not UTF-8, a non-integer field, or dims no stack has
         raise CheckpointError(f"malformed manifest: {e}") from e
 
 
@@ -109,13 +107,13 @@ def _restore(manifest: str, blob: bytes) -> ModelStack:
     lines = [ln for ln in manifest.split("\n") if ln.strip()]
     if not lines:
         raise CheckpointError("empty manifest")
-    dims, activation = _parse_header(lines[0])
+    dims = _parse_header(lines[0])
     head = head_param_count(dims)
     size = 4 * (embed_param_count(dims) + head
                 + dims.L * (layer_param_count(dims) + adapter_param_count(dims) + head))
     if len(blob) != size:
         raise CheckpointError(f"blob length {len(blob)} does not match the header's model ({size} bytes)")
-    stack = build_stack(dims, seed=0, adapter_activation=activation)
+    stack = build_stack(dims, seed=0)
     params = named_parameters(stack)
     offset = 0  # where the next tensor starts
     for line in lines[1:]:

@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 from .chain import StageLossConfig
 from .data import SYNTH_KINDS, synth_dataset
 from .federation import PARTITIONS, RUN_MODES
-from .model import ACTIVATIONS, BACKBONE_KINDS, StackDims, build_stack
+from .model import BACKBONE_KINDS, StackDims, build_stack
 
 DEFAULT_THRESHOLD = 0.8
 _SYNTH_DEFAULTS = synth_dataset.__kwdefaults__  # DataConfig's defaults are the generator's
@@ -44,7 +44,6 @@ class ModelConfig:
     classes: int | None = None
     seed: int = _STACK_DEFAULTS["seed"]
     init_scale: float = _STACK_DEFAULTS["init_scale"]
-    adapter_activation: str = _STACK_DEFAULTS["adapter_activation"]
 
 
 @dataclass
@@ -56,7 +55,6 @@ class DataConfig:
     eval_fraction: float = 0.2
     vocab: int = _SYNTH_DEFAULTS["vocab"]
     signal: float = _SYNTH_DEFAULTS["signal"]
-    noise: float = _SYNTH_DEFAULTS["noise"]
     path: str | None = None
     vocab_path: str | None = None
 
@@ -186,8 +184,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
     if model.init_scale <= 0:
         problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
-    if model.adapter_activation not in ACTIVATIONS:
-        problems.append(f"model.adapter_activation: unknown activation {model.adapter_activation!r}")
 
     if data.source not in ("synthetic", "file"):
         problems.append(f"data.source: expected 'synthetic' or 'file', got {data.source!r}")

@@ -1,8 +1,7 @@
 """Datasets: synthetic task generators, JSONL loading, deterministic splits.
 
-Token datasets are integer id rows padded with 0 (1 is the unknown id);
-feature datasets are dense float rows.  Labels are round-robin balanced for
-the synthetic generators.
+Datasets are integer token id rows padded with 0 (1 is the unknown id).
+Labels are round-robin balanced for the synthetic generator.
 """
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import numpy as np
 
 PAD_ID = 0
 UNK_ID = 1
-SYNTH_KINDS = ("cluster-tokens", "two-moons-seq")  # what `synth_dataset` generates
+SYNTH_KINDS = ("cluster-tokens",)  # what `synth_dataset` generates
 
 
 class DataFormatError(ValueError):
@@ -23,16 +22,12 @@ class DataFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    x: np.ndarray  # int64 [M, seq_len] token ids, or float64 [M, feature_dim]
+    x: np.ndarray  # int64 [M, seq_len] token ids
     y: np.ndarray  # int64 [M]
     C: int
-    kind: str  # "tokens" | "features"
-    vocab: int | None = None
-    feature_dim: int | None = None
+    vocab: int
 
     def __post_init__(self):
-        if self.kind not in ("tokens", "features"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
         if len(self.x) != len(self.y):
             raise ValueError(f"{len(self.x)} rows vs {len(self.y)} labels")
 
@@ -41,51 +36,36 @@ class Dataset:
 
     @property
     def seq_len(self) -> int:
-        """Tokens per row; a feature row is one token."""
-        return self.x.shape[1] if self.kind == "tokens" else 1
+        return self.x.shape[1]
 
 
 def synth_dataset(kind: str, M: int, C: int, seq_len: int, seed, *,
-                  vocab: int = 50, signal: float = 0.35, noise: float = 0.12) -> Dataset:
-    """Learnable synthetic tasks with round-robin balanced labels; DataConfig uses these defaults."""
+                  vocab: int = 50, signal: float = 0.35) -> Dataset:
+    """A learnable synthetic task with round-robin balanced labels; DataConfig uses these defaults."""
+    if kind not in SYNTH_KINDS:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
     if C < 2:
         raise ValueError(f"need at least 2 classes, got {C}")
     if M < C:
         raise ValueError(f"need at least one sample per class, got M={M}, C={C}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    if not 0.0 < signal <= 1.0:
+        raise ValueError(f"signal must lie in (0, 1], got {signal}")
+    per_class = max(1, (vocab - 2) // (2 * C))
+    if vocab < 2 + C * per_class + 1:
+        raise ValueError(f"vocab {vocab} too small for {C} classes")
     rng = np.random.default_rng(seed)
     y = np.arange(M, dtype=np.int64) % C
-
-    if kind == "cluster-tokens":
-        if seq_len < 1:
-            raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-        if not 0.0 < signal <= 1.0:
-            raise ValueError(f"signal must lie in (0, 1], got {signal}")
-        per_class = max(1, (vocab - 2) // (2 * C))
-        if vocab < 2 + C * per_class + 1:
-            raise ValueError(f"vocab {vocab} too small for {C} classes")
-        signal_ids = [np.arange(2 + c * per_class, 2 + (c + 1) * per_class) for c in range(C)]
-        noise_ids = np.arange(2 + C * per_class, vocab)
-        x = np.empty((M, seq_len), dtype=np.int64)
-        for i in range(M):
-            is_signal = rng.random(seq_len) < signal
-            x[i] = np.where(is_signal,
-                            rng.choice(signal_ids[y[i]], size=seq_len),
-                            rng.choice(noise_ids, size=seq_len))
-        return Dataset(x=x, y=y, C=C, kind="tokens", vocab=vocab)
-
-    if kind == "two-moons-seq":
-        if C != 2:
-            raise ValueError(f"two-moons-seq is binary, got C={C}")
-        theta = rng.uniform(0.0, math.pi, size=M)
-        x = np.where(
-            (y == 0)[:, None],
-            np.stack([np.cos(theta), np.sin(theta)], axis=1),
-            np.stack([1.0 - np.cos(theta), 0.5 - np.sin(theta)], axis=1),
-        )
-        x = x + rng.normal(0.0, noise, size=x.shape)
-        return Dataset(x=x.astype(np.float64), y=y, C=2, kind="features", feature_dim=2)
-
-    raise ValueError(f"unknown synthetic kind {kind!r}")
+    signal_ids = [np.arange(2 + c * per_class, 2 + (c + 1) * per_class) for c in range(C)]
+    noise_ids = np.arange(2 + C * per_class, vocab)
+    x = np.empty((M, seq_len), dtype=np.int64)
+    for i in range(M):
+        is_signal = rng.random(seq_len) < signal
+        x[i] = np.where(is_signal,
+                        rng.choice(signal_ids[y[i]], size=seq_len),
+                        rng.choice(noise_ids, size=seq_len))
+    return Dataset(x=x, y=y, C=C, vocab=vocab)
 
 
 def load_jsonl_dataset(path, vocab_path, seq_len: int, n_classes: int | None = None) -> Dataset:
@@ -132,7 +112,7 @@ def load_jsonl_dataset(path, vocab_path, seq_len: int, n_classes: int | None = N
     C = n_classes if n_classes is not None else int(y.max()) + 1
     if C < 2:
         raise DataFormatError(f"{path}: need at least 2 classes, found {C}")
-    return Dataset(x=np.asarray(rows, dtype=np.int64), y=y, C=C, kind="tokens", vocab=vocab_size)
+    return Dataset(x=np.asarray(rows, dtype=np.int64), y=y, C=C, vocab=vocab_size)
 
 
 def train_eval_split(n: int, eval_fraction: float, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +131,7 @@ def load_dataset_from_config(data_cfg, model_cfg, seed) -> Dataset:
         return load_jsonl_dataset(data_cfg.path, data_cfg.vocab_path,
                                   data_cfg.seq_len, model_cfg.classes)
     return synth_dataset(data_cfg.kind, data_cfg.M, model_cfg.classes or 2,
-                         data_cfg.seq_len, seed, vocab=data_cfg.vocab,
-                         signal=data_cfg.signal, noise=data_cfg.noise)
+                         data_cfg.seq_len, seed, vocab=data_cfg.vocab, signal=data_cfg.signal)
 
 
 def deep_readout_dataset(stack, M: int, seq_len: int, seed) -> Dataset:
@@ -166,8 +145,6 @@ def deep_readout_dataset(stack, M: int, seq_len: int, seed) -> Dataset:
     from .tensor import no_grad
 
     dims = stack.dims
-    if dims.vocab is None:
-        raise ValueError("deep_readout_dataset needs a token stack")
     rng = np.random.default_rng(seed)
     x = rng.integers(2, dims.vocab, size=(M, seq_len), dtype=np.int64)
     with no_grad():
@@ -180,5 +157,5 @@ def deep_readout_dataset(stack, M: int, seq_len: int, seed) -> Dataset:
         y = np.argmax(np.tanh(pooled @ w1 * 4.0) @ w2, axis=1).astype(np.int64)
         smaller = min(np.bincount(y, minlength=2))
         if smaller >= M // 4:
-            return Dataset(x=x, y=y, C=2, kind="tokens", vocab=dims.vocab)
+            return Dataset(x=x, y=y, C=2, vocab=dims.vocab)
     raise RuntimeError("could not draw a balanced deep readout")

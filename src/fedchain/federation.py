@@ -295,7 +295,7 @@ def stack_dims(model_cfg, dataset: Dataset) -> StackDims:
     """The shape of the stack a model config trains on a dataset."""
     return StackDims(
         L=model_cfg.L, u=model_cfg.u, v=model_cfg.v, C=dataset.C, kind=model_cfg.kind,
-        ffn=model_cfg.ffn, vocab=dataset.vocab, feature_dim=dataset.feature_dim,
+        ffn=model_cfg.ffn, vocab=dataset.vocab,
     )
 
 
@@ -308,8 +308,7 @@ def setup(cfg, dataset=None) -> Experiment:
         dataset = load_dataset(cfg)
     stack = build_stack(stack_dims(cfg.model, dataset),
                         seed=np.random.SeedSequence([seed, _TAG_STACK]),
-                        init_scale=cfg.model.init_scale,
-                        adapter_activation=cfg.model.adapter_activation)
+                        init_scale=cfg.model.init_scale)
 
     train_idx, eval_idx = train_eval_split(len(dataset.y), cfg.data.eval_fraction,
                                            [seed, _TAG_SPLIT])

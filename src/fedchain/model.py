@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    ACTIVATIONS,
     ShapeMismatch,
     Tensor,
     adapter_chain,
@@ -33,32 +32,26 @@ from .tensor import (
 
 @dataclass
 class AdapterParams:
-    """Residual bottleneck adapter: h + f(h @ down) @ up."""
+    """Residual bottleneck adapter: h + gelu(h @ down) @ up."""
 
     down: Tensor  # [u, v]
     up: Tensor  # [v, u]
-    activation: str
 
 
-ADAPTER_ACTIVATION = "gelu"  # the adapters' activation unless a caller names another
-
-
-def init_adapter(u: int, v: int, seed, activation: str = ADAPTER_ACTIVATION) -> AdapterParams:
+def init_adapter(u: int, v: int, seed) -> AdapterParams:
     """Identity-start init: down ~ U(+-1/sqrt(u)), up = 0."""
     if not 1 <= v < u:
         raise ValueError(f"adapter bottleneck must satisfy 1 <= v < u, got u={u}, v={v}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown adapter activation {activation!r}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / math.sqrt(u)
     down = Tensor(rng.uniform(-bound, bound, size=(u, v)))
     up = Tensor(np.zeros((v, u)))
-    return AdapterParams(down, up, activation)
+    return AdapterParams(down, up)
 
 
 def _adapters(h: Tensor, adapters: list[AdapterParams]) -> Tensor:
     """The adapters applied in order, as one tape node (see tensor.adapter_chain)."""
-    return adapter_chain(h, [(a.down, a.up, a.activation) for a in adapters])
+    return adapter_chain(h, [(a.down, a.up) for a in adapters])
 
 
 def adapter_forward(h: Tensor, adapter: AdapterParams) -> Tensor:
@@ -76,13 +69,13 @@ class MlpLayer:
     kind = "mlp"
     mixes_tokens = False  # each [u] row maps on its own
 
-    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
+    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0):
         rng = np.random.default_rng(seed)  # a Generator passes through: a caller's draws continue
         self.ln_gain = Tensor(np.ones(u))
         self.ln_bias = Tensor(np.zeros(u))
         self.w1 = _uniform(rng, (u, ffn), u, scale)
         self.b1 = Tensor(np.zeros(ffn))
-        self.w2 = Tensor(np.zeros((ffn, u))) if identity else _uniform(rng, (ffn, u), ffn, scale)
+        self.w2 = _uniform(rng, (ffn, u), ffn, scale)
         self.b2 = Tensor(np.zeros(u))
 
     def params(self) -> dict[str, Tensor]:
@@ -112,15 +105,15 @@ class AttnLiteLayer:
     kind = "attn-lite"
     mixes_tokens = True
 
-    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0, identity: bool = False):
+    def __init__(self, u: int, ffn: int, seed, scale: float = 1.0):
         rng = np.random.default_rng(seed)
         self.ln1_gain = Tensor(np.ones(u))
         self.ln1_bias = Tensor(np.zeros(u))
         self.wq = _uniform(rng, (u, u), u, scale)
         self.wk = _uniform(rng, (u, u), u, scale)
         self.wv = _uniform(rng, (u, u), u, scale)
-        self.wo = Tensor(np.zeros((u, u))) if identity else _uniform(rng, (u, u), u, scale)
-        self.mlp = MlpLayer(u, ffn, rng, scale, identity)
+        self.wo = _uniform(rng, (u, u), u, scale)
+        self.mlp = MlpLayer(u, ffn, rng, scale)
 
     def params(self) -> dict[str, Tensor]:
         ffn = self.mlp.params()
@@ -155,13 +148,9 @@ BACKBONE_KINDS = {"mlp": MlpLayer, "attn-lite": AttnLiteLayer}
 class LocalHead:
     """Mean-pool over tokens followed by an affine readout."""
 
-    def __init__(self, u: int, n_classes: int, seed=None):
-        if seed is None:
-            w = np.zeros((u, n_classes))
-        else:
-            rng = np.random.default_rng(seed)
-            w = rng.uniform(-1.0, 1.0, size=(u, n_classes)) / math.sqrt(u)
-        self.W = Tensor(w)
+    def __init__(self, u: int, n_classes: int, seed):
+        rng = np.random.default_rng(seed)
+        self.W = Tensor(rng.uniform(-1.0, 1.0, size=(u, n_classes)) / math.sqrt(u))
         self.b = Tensor(np.zeros(n_classes))
 
     def logits(self, hidden: Tensor) -> Tensor:
@@ -190,31 +179,15 @@ class TokenEmbedding:
         return Tensor(self.table.data[self.validate(ids)])
 
 
-class FeatureEmbedding:
-    """Projects dense feature rows to width u, as a length-1 token sequence."""
-
-    def __init__(self, feature_dim: int, u: int, seed):
-        rng = np.random.default_rng(seed)
-        self.feature_dim = feature_dim
-        self.proj = Tensor(rng.standard_normal((feature_dim, u)) / math.sqrt(feature_dim))
-
-    def __call__(self, feats) -> Tensor:
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
-            raise ShapeMismatch(f"feature batch must be [batch, {self.feature_dim}], got {feats.shape}")
-        return Tensor((feats @ self.proj.data)[:, None, :])
-
-
 @dataclass(frozen=True)
 class StackDims:
     L: int
     u: int
     v: int
     C: int
+    vocab: int
     kind: str = "mlp"
     ffn: int = 0  # 0 means 2*u
-    vocab: int | None = None
-    feature_dim: int | None = None
 
     def __post_init__(self):
         if self.L < 1 or self.u < 2 or self.C < 2 or self.ffn < 0:
@@ -223,8 +196,6 @@ class StackDims:
             raise ValueError(f"adapter bottleneck must satisfy 1 <= v < u, got {self.v} vs {self.u}")
         if self.kind not in BACKBONE_KINDS:
             raise ValueError(f"unknown backbone kind {self.kind!r}")
-        if (self.vocab is None) == (self.feature_dim is None):
-            raise ValueError("exactly one of vocab / feature_dim must be set")
 
     @property
     def ffn_dim(self) -> int:
@@ -234,7 +205,7 @@ class StackDims:
 # Parameter counts in closed form; the memory model, the profiling floor and
 # the checkpoint size check all price a stack from these.
 def embed_param_count(dims: StackDims) -> int:
-    return dims.u * (dims.vocab if dims.vocab is not None else dims.feature_dim)
+    return dims.u * dims.vocab
 
 
 def layer_param_count(dims: StackDims) -> int:
@@ -259,44 +230,36 @@ class LayerUnit:
 
 
 class ModelStack:
-    def __init__(self, dims: StackDims, embed, units: list[LayerUnit], final_head: LocalHead,
-                 adapter_activation: str):
+    def __init__(self, dims: StackDims, embed: TokenEmbedding, units: list[LayerUnit],
+                 final_head: LocalHead):
         self.dims = dims
         self.embed = embed
         self.units = units
         self.final_head = final_head
-        self.adapter_activation = adapter_activation
 
     @property
     def L(self) -> int:
         return len(self.units)
 
 
-def build_stack(dims: StackDims, *, seed: int = 0, init_scale: float = 1.0,
-                adapter_activation: str = ADAPTER_ACTIVATION,
-                identity_backbone: bool = False) -> ModelStack:
+def build_stack(dims: StackDims, *, seed: int = 0, init_scale: float = 1.0) -> ModelStack:
     """Deterministically initialize a full stack from one master seed.
 
-    config.ModelConfig takes its seed, init_scale and adapter_activation
-    defaults from here.
+    config.ModelConfig takes its seed and init_scale defaults from here.
     """
     entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = entropy.spawn(3 * dims.L + 2)
     it = iter(children)
-    if dims.vocab is not None:
-        embed = TokenEmbedding(dims.vocab, dims.u, next(it))
-    else:
-        embed = FeatureEmbedding(dims.feature_dim, dims.u, next(it))
+    embed = TokenEmbedding(dims.vocab, dims.u, next(it))
     layer_cls = BACKBONE_KINDS[dims.kind]
     units = []
     for _ in range(dims.L):
-        backbone = layer_cls(dims.u, dims.ffn_dim, next(it), scale=init_scale,
-                             identity=identity_backbone)
-        adapter = init_adapter(dims.u, dims.v, next(it), adapter_activation)
+        backbone = layer_cls(dims.u, dims.ffn_dim, next(it), scale=init_scale)
+        adapter = init_adapter(dims.u, dims.v, next(it))
         head = LocalHead(dims.u, dims.C, next(it))
         units.append(LayerUnit(backbone, adapter, head))
     final_head = LocalHead(dims.u, dims.C, next(it))
-    return ModelStack(dims, embed, units, final_head, adapter_activation)
+    return ModelStack(dims, embed, units, final_head)
 
 
 def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
@@ -350,10 +313,8 @@ def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
     Callers embed the result inside the call to the walk, so that no
     frame holds the embedded input while the layers run.
     """
-    embed = stack.embed
-    if isinstance(embed, TokenEmbedding) and not any(unit.backbone.mixes_tokens
-                                                     for unit in stack.units):
-        ids = embed.validate(x)
+    if not any(unit.backbone.mixes_tokens for unit in stack.units):
+        ids = stack.embed.validate(x)
         present = np.bincount(ids.ravel())  # np.unique would import numpy.ma
         distinct = np.flatnonzero(present)
         if distinct.size >= 2:
@@ -406,7 +367,7 @@ def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
 def named_parameters(stack: ModelStack) -> dict[str, Tensor]:
     """Stable 1-based naming used by checkpoints, deltas, and aggregation."""
     params: dict[str, Tensor] = {}
-    params["embed"] = stack.embed.table if isinstance(stack.embed, TokenEmbedding) else stack.embed.proj
+    params["embed"] = stack.embed.table
     for i, unit in enumerate(stack.units, start=1):
         for key, t in unit.backbone.params().items():
             params[f"backbone.{i}.{key}"] = t

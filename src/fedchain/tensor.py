@@ -8,9 +8,9 @@ replayed only once.  Only leaves, the tensors no node on the tape produced,
 receive ``.grad``; frozen tensors (``requires_grad=False``) never do.
 
 A node saves only what its backward needs.  ``adapter_chain`` records a
-whole run of residual bottleneck adapters as one node that keeps, per
-adapter, the activation's slope on the v-wide rows, and the u-wide input or
-the activation only when that adapter's own weights train.
+whole run of residual bottleneck gelu adapters as one node that keeps, per
+adapter, gelu's slope on the v-wide rows, and the u-wide input or the
+activation only when that adapter's own weights train.
 """
 from __future__ import annotations
 
@@ -244,7 +244,7 @@ def mul(a, b) -> Tensor:
 
 
 # Activations as (x, want_slope) -> (f(x), f'(x) or None): the one definition behind
-# the pointwise ops, adapter_chain, and the adapter activations a config may name.
+# the pointwise ops, and (gelu) adapter_chain.
 
 def _relu(x: np.ndarray, want_slope: bool):
     return np.maximum(x, 0.0), (x > 0.0) if want_slope else None  # relu'(0) := 0
@@ -290,9 +290,6 @@ def _tanh(x: np.ndarray, want_slope: bool):
     return value, (1.0 - value**2) if want_slope else None
 
 
-ACTIVATIONS = {"gelu": _gelu, "relu": _relu, "tanh": _tanh, "identity": None}
-
-
 def _pointwise(f, x: Tensor) -> Tensor:
     # the slope is computed only when the op records, and is all its node keeps
     value, slope = f(x.data, _recorder((x,)) is not None)
@@ -312,38 +309,38 @@ def tanh(x: Tensor) -> Tensor:
     return _pointwise(_tanh, x)
 
 
-def adapter_chain(h: Tensor, adapters) -> Tensor:
-    """Residual bottleneck adapters h <- h + f(h @ down) @ up, applied in order, as one op.
+ADAPTER_ACT = "gelu"  # the activation of every adapter; checkpoints record it
 
-    `adapters` holds (down [u, v], up [v, u], activation name) triples; h is
-    [..., u] and runs as [n, u] rows.  The one tape node keeps, per adapter,
-    f'(pre) on the [n, v] rows, f(pre) only when up trains and the [n, u]
-    input only when down trains; the hidden states in between are not kept.
-    Values and gradients are bitwise those of the per-op composition
-    add(h, matmul(f(matmul(h, down)), up)).
+
+def adapter_chain(h: Tensor, adapters) -> Tensor:
+    """Residual bottleneck adapters h <- h + gelu(h @ down) @ up, applied in order, as one op.
+
+    `adapters` holds (down [u, v], up [v, u]) pairs; h is [..., u] and runs
+    as [n, u] rows.  The one tape node keeps, per adapter, gelu'(pre) on the
+    [n, v] rows, gelu(pre) only when up trains and the [n, u] input only
+    when down trains; the hidden states in between are not kept.  Values
+    and gradients are bitwise those of the per-op composition
+    add(h, matmul(gelu(matmul(h, down)), up)).
     """
     u = h.shape[-1] if h.ndim else 0
     params: list[Tensor] = []
-    for down, up, name in adapters:
+    for down, up in adapters:
         v = down.shape[-1] if down.ndim else 0
         if down.shape != (u, v) or up.shape != (v, u):
             raise ShapeMismatch(f"adapter_chain: down {down.shape} / up {up.shape} "
                                 f"do not fit hidden {h.shape}")
-        if name not in ACTIVATIONS:
-            raise ValueError(f"unknown adapter activation {name!r}")
         params += (down, up)
     inputs = (h, *params)
     recording = _recorder(inputs) is not None
     x = h.data.reshape(-1, u)
     flows = recording and h.requires_grad  # a gradient is wanted at this adapter's input
     saved = []
-    for down, up, name in adapters:
+    for down, up in adapters:
         pre = x @ down.data
         _check_finite(pre)
-        f = ACTIVATIONS[name]
         down_trains, up_trains = recording and down.requires_grad, recording and up.requires_grad
         through = flows or down_trains  # ... and at pre
-        act, slope = (pre, None) if f is None else f(pre, through)
+        act, slope = _gelu(pre, through)
         saved.append((flows, through, slope, act if up_trains else None,
                       x if down_trains else None))
         step = act @ up.data
@@ -363,8 +360,7 @@ def adapter_chain(h: Tensor, adapters) -> Tensor:
             if not through:
                 return grads  # no gradient is wanted before this adapter
             gpre = g @ _swapT(up)
-            if slope is not None:
-                gpre *= slope
+            gpre *= slope
             if x_in is not None:
                 grads[1 + 2 * k] = _swapT(x_in) @ gpre
             if not flows_in:

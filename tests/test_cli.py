@@ -134,7 +134,7 @@ def test_profile_agrees_with_run(tmp_path, capsys):
 
 ONE_ROW_SHARDS = {
     "model": {"L": 3, "u": 8, "v": 2},
-    "data": {"kind": "two-moons-seq", "M": 100},
+    "data": {"kind": "cluster-tokens", "M": 100, "seq_len": 1},
     "federation": {"N": 40, "partition": "dirichlet", "alpha": 0.05, "sample_count": 2,
                    "Q": 1, "rounds": 1},
     "chain": {"T": 0.9},
@@ -150,7 +150,7 @@ def _one_row_shards(tmp_path, **federation):
 
 
 def test_run_skips_one_row_clients_when_profiling(tmp_path, capsys):
-    # Dirichlet(0.05) over 40 clients leaves several with a single two-moons row,
+    # Dirichlet(0.05) over 40 clients leaves several with a single one-token row,
     # one CKA row each; CKA needs 2, so those clients sit out phase 1
     path = _one_row_shards(tmp_path)
     exp = setup(load_config(path))
@@ -210,7 +210,7 @@ def test_report_memory_from_config(config_path, capsys, tmp_path):
 
 @pytest.mark.parametrize("data", [
     {"kind": "cluster-tokens", "M": 90, "seq_len": 5, "vocab": 17},
-    {"kind": "two-moons-seq", "M": 90},
+    {"kind": "cluster-tokens", "M": 90, "seq_len": 1},
 ])
 def test_report_memory_prices_the_model_run_trains(tmp_path, capsys, data):
     raw = {
@@ -222,7 +222,7 @@ def test_report_memory_prices_the_model_run_trains(tmp_path, capsys, data):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(raw))
     result = run(load_config(path))
-    seq_len = data.get("seq_len", 1)  # a feature row is one token
+    seq_len = data["seq_len"]
     assert main(["report-memory", "--config", str(path), "--batch", "8",
                  "--seq-len", str(seq_len), "--q", str(result.Q)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

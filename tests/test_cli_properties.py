@@ -29,9 +29,8 @@ BASE = {
 
 # every field the schema knows, present in BASE or not; None is the top level
 FIELDS = {
-    "model": ("L", "u", "v", "kind", "ffn", "classes", "seed", "init_scale",
-              "adapter_activation"),
-    "data": ("source", "kind", "M", "seq_len", "eval_fraction", "vocab", "signal", "noise",
+    "model": ("L", "u", "v", "kind", "ffn", "classes", "seed", "init_scale"),
+    "data": ("source", "kind", "M", "seq_len", "eval_fraction", "vocab", "signal",
              "path", "vocab_path"),
     "federation": ("N", "rounds", "partition", "alpha", "sample_count", "sample_fraction",
                    "budgets", "Q"),
@@ -39,9 +38,10 @@ FIELDS = {
     "out": ("metrics", "checkpoint"),
     None: ("model", "data", "federation", "chain", "mode", "out"),
 }
-# plus one field no schema knows, and the fields ModelConfig no longer has
+# plus one field no schema knows, and the fields the schema no longer has
 PATHS = [(section, key) for section, keys in FIELDS.items() for key in keys] + [
-    (None, "extra"), ("model", "vocab"), ("model", "feature_dim")]
+    (None, "extra"), ("model", "vocab"), ("model", "feature_dim"),
+    ("model", "adapter_activation"), ("data", "noise")]
 
 DROP = object()
 VALUES = st.sampled_from([

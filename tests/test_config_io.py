@@ -90,6 +90,8 @@ def test_config_field_validation():
     for over, needle in [
         (dict(model={"kind": "conv"}), "model.kind"),
         (dict(model={"vocab": 10, "feature_dim": 3}), r"model\.vocab: unknown field"),
+        (dict(model={"adapter_activation": "gelu"}), r"model\.adapter_activation: unknown field"),
+        (dict(data={"noise": 0.12}), r"data\.noise: unknown field"),
         (dict(model={"classes": 1}), "model.classes"),
         (dict(model={"init_scale": 0}), "model.init_scale"),
         (dict(model={"init_scale": float("inf")}), "model.init_scale"),
@@ -97,6 +99,7 @@ def test_config_field_validation():
         (dict(model={"init_scale": 10**400}), "model.init_scale: expected finite number"),
         (dict(data={"eval_fraction": 1.0}), "data.eval_fraction"),
         (dict(data={"kind": "spirals"}), "data.kind"),
+        (dict(data={"kind": "two-moons-seq"}), "data.kind"),
         (dict(federation={"alpha": -1}), "federation.alpha"),
         (dict(federation={"partition": "sharded"}), "federation.partition"),
         (dict(federation={"Q": 9}), "federation.Q"),
@@ -114,7 +117,6 @@ def test_config_field_validation():
         (dict(data={"eval_fraction": None}), "data.eval_fraction"),
         (dict(data={"vocab": None}), "data.vocab"),
         (dict(data={"signal": None}), "data.signal"),
-        (dict(data={"noise": None}), "data.noise"),
         (dict(federation={"alpha": None}), "federation.alpha"),
         (dict(chain={"local_steps": None}), "chain.local_steps"),
         (dict(chain={"batch": None}), "chain.batch"),
@@ -164,7 +166,7 @@ def test_load_config_reports_bad_json(tmp_path):
 def test_cluster_tokens_shape_balance_determinism():
     ds = synth_dataset("cluster-tokens", M=101, C=3, seq_len=12, seed=5)
     assert ds.x.shape == (101, 12) and ds.x.dtype == np.int64
-    assert ds.kind == "tokens" and ds.vocab == 50
+    assert ds.vocab == 50
     counts = np.bincount(ds.y, minlength=3)
     assert counts.max() - counts.min() <= 1  # round-robin balance
     assert ds.x.min() >= 2 and ds.x.max() < 50
@@ -180,22 +182,12 @@ def test_cluster_tokens_learnable_by_independent_classifier():
     assert acc >= 0.99
 
 
-def test_two_moons_seq_properties():
-    ds = synth_dataset("two-moons-seq", M=300, C=2, seq_len=1, seed=3)
-    assert ds.kind == "features" and ds.feature_dim == 2
-    assert ds.x.shape == (300, 2) and ds.x.dtype == np.float64
-    assert set(np.unique(ds.y)) == {0, 1}
-    again = synth_dataset("two-moons-seq", M=300, C=2, seq_len=1, seed=3)
-    assert np.array_equal(ds.x, again.x)
-
-
 def test_synth_dataset_validation():
     with pytest.raises(ValueError):
         synth_dataset("cluster-tokens", M=1, C=2, seq_len=4, seed=0)
-    with pytest.raises(ValueError):
-        synth_dataset("two-moons-seq", M=10, C=3, seq_len=1, seed=0)
-    with pytest.raises(ValueError):
-        synth_dataset("spirals", M=10, C=2, seq_len=4, seed=0)
+    for kind in ("two-moons-seq", "spirals"):
+        with pytest.raises(ValueError, match="unknown synthetic kind"):
+            synth_dataset(kind, M=10, C=2, seq_len=4, seed=0)
     with pytest.raises(ValueError):
         synth_dataset("cluster-tokens", M=10, C=2, seq_len=4, seed=0, vocab=4)
     with pytest.raises(ValueError):
@@ -218,21 +210,16 @@ def test_train_eval_split_disjoint_cover():
 def test_deep_readout_dataset_balanced_and_deterministic():
     stack = build_stack(StackDims(L=3, u=8, v=3, C=2, kind="mlp", vocab=17), seed=0)
     ds = deep_readout_dataset(stack, M=120, seq_len=6, seed=4)
-    assert ds.C == 2 and ds.kind == "tokens"
+    assert ds.C == 2
     assert min(np.bincount(ds.y, minlength=2)) >= 30
     assert ds.x.min() >= 2
     again = deep_readout_dataset(stack, M=120, seq_len=6, seed=4)
     assert np.array_equal(ds.y, again.y)
-    feat_stack = build_stack(StackDims(L=2, u=8, v=3, C=2, kind="mlp", feature_dim=4), seed=0)
-    with pytest.raises(ValueError, match="token"):
-        deep_readout_dataset(feat_stack, M=50, seq_len=4, seed=0)
 
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(x=np.zeros((3, 2)), y=np.zeros(4, dtype=np.int64), C=2, kind="tokens")
-    with pytest.raises(ValueError):
-        Dataset(x=np.zeros((3, 2)), y=np.zeros(3, dtype=np.int64), C=2, kind="images")
+        Dataset(x=np.zeros((3, 2), dtype=np.int64), y=np.zeros(4, dtype=np.int64), C=2, vocab=5)
 
 
 # ---------------------------------------------------------------- jsonl loading
@@ -308,13 +295,12 @@ def test_jsonl_loader_validates_vocab(tmp_path):
 
 def test_checkpoint_round_trip_is_f32_exact(tmp_path):
     dims = StackDims(L=3, u=8, v=3, C=4, kind="attn-lite", ffn=12, vocab=9)
-    stack = build_stack(dims, seed=21, adapter_activation="relu")
+    stack = build_stack(dims, seed=21)
     stack.units[1].adapter.up.data[:] = 0.125  # exact in f32
     base = tmp_path / "ckpt"
     save_checkpoint(stack, base)
     loaded = load_checkpoint(base)
     assert loaded.dims == dims
-    assert loaded.adapter_activation == "relu"
     src, dst = named_parameters(stack), named_parameters(loaded)
     assert set(src) == set(dst)
     for name in src:
@@ -364,10 +350,12 @@ def test_checkpoint_detects_manifest_tampering(tmp_path):
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(base)
 
-    # non-integer header field, shape and offset; an eps no layer norm uses
+    # non-integer header field, shape and offset; an eps no layer norm uses, and an
+    # activation no adapter uses
     for bad in (manifest.replace(" L=2 ", " L=x ", 1), manifest.replace("\t8x2\t", "\t9xq\t", 1),
                 manifest.replace("\tf32\t0\n", "\tf32\tabc\n", 1),
-                manifest.replace(" eps=1e-05\n", " eps=1e-06\n", 1)):
+                manifest.replace(" eps=1e-05\n", " eps=1e-06\n", 1),
+                manifest.replace(" adapter_act=gelu ", " adapter_act=relu ", 1)):
         assert bad != manifest
         (tmp_path / "ckpt.manifest").write_text(bad)
         with pytest.raises(CheckpointError, match="manifest"):
@@ -417,9 +405,17 @@ def test_checkpoint_checks_the_blob_size_before_building(tmp_path, monkeypatch):
 def test_checkpoint_header_is_pinned(tmp_path):
     stack = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
     save_checkpoint(stack, tmp_path / "ckpt")
-    header = (tmp_path / "ckpt.manifest").read_text().split("\n")[0]
+    manifest = (tmp_path / "ckpt.manifest").read_text()
+    header = manifest.split("\n")[0]
     assert header == ("# fedchain-checkpoint v1 kind=mlp L=2 u=8 v=2 C=2 ffn=16 vocab=7"
-                      " feature_dim=- adapter_act=gelu eps=1e-05")
+                      " adapter_act=gelu eps=1e-05")
+    # a checkpoint written before feature_dim left the header still loads
+    older = ("# fedchain-checkpoint v1 kind=mlp L=2 u=8 v=2 C=2 ffn=16 vocab=7"
+             " feature_dim=- adapter_act=gelu eps=1e-05")
+    (tmp_path / "ckpt.manifest").write_text(manifest.replace(header, older, 1))
+    loaded = named_parameters(load_checkpoint(tmp_path / "ckpt"))
+    for name, t in named_parameters(stack).items():
+        assert loaded[name].data.tobytes() == t.data.astype("<f4").astype(np.float64).tobytes()
 
 
 class _FullDisk:

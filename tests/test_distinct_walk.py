@@ -4,7 +4,6 @@ per-row walk."""
 import numpy as np
 import pytest
 
-from fedchain.data import synth_dataset
 from fedchain.model import (
     MlpLayer,
     StackDims,
@@ -93,18 +92,6 @@ def test_attn_lite_walks_per_row():
     pred = stack.final_head.logits(want).data.argmax(axis=1)
     assert evaluate_accuracy(stack, x, pred) == 1.0
     assert len(profile_layers(stack, x).scores) == 3
-
-
-def test_feature_rows_walk_per_row():
-    data = synth_dataset("two-moons-seq", M=40, C=2, seq_len=1, seed=0)
-    stack = build_stack(StackDims(L=3, u=8, v=2, C=2, feature_dim=data.feature_dim), seed=1)
-    feats, index = walk_input(stack, data.x)
-    assert index is None and feats is data.x
-    with no_grad():
-        want, _ = forward_through(stack, data.x)
-    pred = stack.final_head.logits(want).data.argmax(axis=1)
-    assert evaluate_accuracy(stack, data.x, pred) == 1.0
-    assert len(profile_layers(stack, data.x).scores) == 3
 
 
 @pytest.mark.parametrize("layer", [1, 6])

@@ -230,7 +230,7 @@ def test_aggregate_validates_keys_and_shapes():
 
 def test_param_count_helpers_match_real_stacks():
     for dims in [DIMS, StackDims(L=2, u=8, v=2, C=4, kind="attn-lite", vocab=9),
-                 StackDims(L=2, u=6, v=2, C=2, kind="mlp", ffn=20, feature_dim=5)]:
+                 StackDims(L=2, u=6, v=2, C=2, kind="mlp", ffn=20, vocab=5)]:
         stack = build_stack(dims, seed=0)
         params = named_parameters(stack)
         assert embed_param_count(dims) == params["embed"].size

@@ -120,7 +120,9 @@ def _batch(rng, n=4, t=5, vocab=13):
 
 
 def test_identity_backbone_profile_scores_all_one():
-    stack = build_stack(DIMS, seed=0, identity_backbone=True)
+    stack = build_stack(DIMS, seed=0)
+    for unit in stack.units:  # each block then adds gelu(...) @ 0 + 0: it is the identity
+        unit.backbone.params()["fc2.W"].data[:] = 0.0
     prof = profile_layers(stack, _batch(np.random.default_rng(0)))
     assert len(prof.scores) == 6
     assert all(s == pytest.approx(1.0, abs=1e-9) for s in prof.scores)
