@@ -275,9 +275,41 @@ def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
     return h
 
 
+def _frozen_prefix(stack: ModelStack, upto: int) -> tuple[int, bool]:
+    """(n, backbone): no parameter of layers 1..n requires grad, and backbone
+    says layer n + 1's backbone has none either while its adapter does.
+
+    n = upto when nothing in layers 1..upto requires grad.
+    """
+    for n, unit in enumerate(stack.units[:upto]):
+        if any(t.requires_grad for t in unit.backbone.params().values()):
+            return n, False
+        if unit.adapter.down.requires_grad or unit.adapter.up.requires_grad:
+            return n, True
+    return upto, False
+
+
+def _frozen_walk(stack: ModelStack, x, n: int, backbone: bool = False) -> Tensor:
+    """Layers 1..n, then layer n + 1's backbone if asked, as a no-grad walk of
+    walk_input(stack, x), read back as the [b, t, u] hidden state of every row of x."""
+    with no_grad():
+        x, index = walk_input(stack, x)
+        h = apply_layers(stack, stack.embed(x), 1, n)
+        if backbone:
+            h = stack.units[n].backbone.forward(h)
+        return gather_rows(h, index)
+
+
 def forward_through(stack: ModelStack, x, upto: int | None = None,
                     active_set=()) -> tuple[Tensor, list[int]]:
     """Apply layers 1..upto, each as backbone-then-adapter.
+
+    Nothing below the first layer with a grad-requiring parameter records a
+    tape node: layers 1..n before it, and its backbone unless that trains.
+    Where n >= 1, that frozen part runs as one no-grad walk of walk_input:
+    once per distinct token id on an mlp stack with at least 2 of them,
+    read back per row.  The rest runs per row.  Either way the hidden state
+    and the gradients are bitwise those of a per-row walk.
 
     active_set names the layers whose adapters may train.  A layer outside
     it that no grad-requiring activation reaches records nothing, since no
@@ -292,9 +324,16 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
     active = set(active_set)
     if not active <= set(range(1, upto + 1)):
         raise ValueError(f"active_set {sorted(active)} not within layers 1..{upto}")
-    h = stack.embed(x)
-    releasable: list[int] = []
-    for i in range(1, upto + 1):
+    n, backbone = _frozen_prefix(stack, upto)
+    if n:
+        h = _frozen_walk(stack, x, n, backbone)
+        if backbone:
+            h = adapter_forward(h, stack.units[n].adapter)
+    else:  # a window at layer 1 walks every row from the embedding up
+        h, backbone = stack.embed(x), False
+    walked = n + backbone
+    releasable = [i for i in range(1, walked + 1) if i not in active]
+    for i in range(walked + 1, upto + 1):
         if i not in active and not h.requires_grad:
             releasable.append(i)
         h = apply_layers(stack, h, i, i)
@@ -302,7 +341,10 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
 
 
 def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
-    """What a no-grad walk of the whole stack embeds in place of x, and how to read it back.
+    """What a no-grad walk of the stack embeds in place of x, and how to read it back.
+
+    Eval and CKA profiling walk the whole stack this way, a training step
+    (forward_through) its frozen layers.
 
     Where no layer mixes tokens, a token row's hidden state at every layer
     is a function of its id alone.  The walk then embeds each distinct id of
@@ -357,9 +399,8 @@ def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
 
 
 def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
+    h = _frozen_walk(stack, x, stack.L)
     with no_grad():
-        x, index = walk_input(stack, x)
-        h = gather_rows(apply_layers(stack, stack.embed(x), 1, stack.L), index)
         pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 

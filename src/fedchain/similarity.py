@@ -58,23 +58,31 @@ def _hsic_centered(ci: np.ndarray, cj: np.ndarray) -> float:
     return float((cross * cross).sum()) / (ci.shape[0] - 1) ** 2
 
 
+def _centered(z) -> tuple[np.ndarray, float]:
+    """z validated and centered, with its self-HSIC."""
+    c = _activation_matrix(z)
+    c = c - c.mean(axis=0)
+    # c.T @ c on one buffer runs as syrk, which is not bitwise hsic_linear's gemm
+    return c, _hsic_centered(c, c.copy())
+
+
+def _cka_centered(ci: np.ndarray, self_i: float, cj: np.ndarray, self_j: float) -> float:
+    """cka on two _centered results."""
+    if cj.shape[0] != ci.shape[0]:
+        raise ValueError(f"row counts differ: {ci.shape[0]} vs {cj.shape[0]}")
+    if self_i <= HSIC_FLOOR or self_j <= HSIC_FLOOR:
+        which = "first" if self_i <= HSIC_FLOOR else "second"
+        raise DegenerateSimilarity(f"{which} argument has near-zero self-HSIC; CKA undefined")
+    return float(_hsic_centered(ci, cj) / np.sqrt(self_i * self_j))
+
+
 def cka(zi, zj) -> float:
     """CKA(zi, zj) = HSIC(zi, zj) / sqrt(HSIC(zi, zi) HSIC(zj, zj)).
 
     Each argument is validated and centered once; the three HSICs are
     bitwise those of hsic_linear.
     """
-    zi, zj = _activation_matrix(zi), _activation_matrix(zj)
-    if zj.shape[0] != zi.shape[0]:
-        raise ValueError(f"row counts differ: {zi.shape[0]} vs {zj.shape[0]}")
-    ci, cj = zi - zi.mean(axis=0), zj - zj.mean(axis=0)
-    # c.T @ c on one buffer runs as syrk, which is not bitwise hsic_linear's gemm
-    self_i = _hsic_centered(ci, ci.copy())
-    self_j = _hsic_centered(cj, cj.copy())
-    if self_i <= HSIC_FLOOR or self_j <= HSIC_FLOOR:
-        which = "first" if self_i <= HSIC_FLOOR else "second"
-        raise DegenerateSimilarity(f"{which} argument has near-zero self-HSIC; CKA undefined")
-    return float(_hsic_centered(ci, cj) / np.sqrt(self_i * self_j))
+    return _cka_centered(*_centered(zi), *_centered(zj))
 
 
 @dataclass
@@ -127,8 +135,8 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
     with no_grad():
         batch, index = walk_input(stack, batch)
         h = stack.embed(batch)
-        z0_rows = _flat_rows(gather_rows(h, index))
-        n_rows = z0_rows.shape[0]
+        z0 = _centered(_flat_rows(gather_rows(h, index)))
+        n_rows = z0[0].shape[0]
         if blocks is None:
             if mem_budget is None:
                 blocks = [list(range(1, stack.L + 1))]
@@ -141,7 +149,7 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
             h = Tensor(h.data)  # fresh carried hidden; previous block evicted
             for i in blk:
                 h = apply_layers(stack, h, i, i)
-                scores.append(cka(_flat_rows(gather_rows(h, index)), z0_rows))
+                scores.append(_cka_centered(*_centered(_flat_rows(gather_rows(h, index))), *z0))
     return CKAProfile(scores=scores, sample_weight=n_rows)
 
 

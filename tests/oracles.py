@@ -164,3 +164,18 @@ def greedy_partition(stack, n_rows: int, mem_budget) -> list[list[int]]:
     if current:
         blocks.append(current)
     return blocks
+
+
+def forward_through_per_row(stack, x, upto=None, active_set=()):
+    """fedchain.model.forward_through as a plain loop: every layer, backbone then
+    adapter, on every row of x, frozen or not, with the same released-layer list."""
+    from fedchain.model import adapter_forward
+
+    upto = stack.L if upto is None else upto
+    h = stack.embed(x)
+    releasable = []
+    for i, unit in enumerate(stack.units[:upto], start=1):
+        if i not in active_set and not h.requires_grad:
+            releasable.append(i)
+        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+    return h, releasable

@@ -16,7 +16,7 @@ from fedchain.similarity import (
 )
 from fedchain.tensor import Tape
 
-from oracles import greedy_partition, hsic_double_sum
+from oracles import forward_through_per_row, greedy_partition, hsic_double_sum
 
 DIMS = StackDims(L=6, u=8, v=3, C=3, kind="mlp", vocab=13)
 
@@ -154,6 +154,18 @@ def test_blockwise_profile_is_partition_independent():
     ]:
         split = profile_layers(stack, batch, blocks=blocks).scores
         assert np.allclose(split, full, atol=1e-9, rtol=0)
+
+
+@pytest.mark.parametrize("blocks", [None, [[1], [2], [3], [4], [5], [6]], [[1, 2, 3], [4, 5, 6]],
+                                    [[1], [2, 3, 4, 5], [6]]])
+def test_profile_scores_are_bitwise_cka_of_each_layer(blocks):
+    stack = build_stack(DIMS, seed=4, init_scale=2.0)
+    batch = _batch(np.random.default_rng(5), n=6)
+    scores = profile_layers(stack, batch, blocks=blocks).scores
+    z0 = stack.embed(batch).data.reshape(-1, DIMS.u)
+    for i, score in enumerate(scores, start=1):
+        rows = forward_through_per_row(stack, batch, upto=i)[0].data.reshape(-1, DIMS.u)
+        assert score == cka(rows, z0), i  # == on floats: bitwise, no tolerance
 
 
 def test_profile_under_budget_uses_fitting_partition():
