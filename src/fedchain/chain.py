@@ -71,7 +71,7 @@ def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
     lo, hi = window
     if not 1 <= lo <= hi <= stack.L:
         raise ValueError(f"window {window} out of range 1..{stack.L}")
-    hidden, _ = forward_through(stack, x, upto=hi, active_set=range(lo, hi + 1))
+    hidden, _ = forward_through(stack, x, upto=hi)
     if hi == stack.L:
         loss = end_to_end_loss(stack, hidden, labels)
         return loss, {"mode": "end_to_end", "total": loss.item(),
@@ -86,9 +86,8 @@ def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
                   "local": local.item(), "global": glob.item()}
 
 
-def _baseline_stage_loss(stack: ModelStack, x, labels, scheme: str) -> tuple[Tensor, dict]:
-    active = range(1, stack.L + 1) if scheme == "all_adapters" else ()
-    hidden, _ = forward_through(stack, x, upto=stack.L, active_set=active)
+def _baseline_stage_loss(stack: ModelStack, x, labels) -> tuple[Tensor, dict]:
+    hidden, _ = forward_through(stack, x, upto=stack.L)
     loss = end_to_end_loss(stack, hidden, labels)
     return loss, {"mode": "end_to_end", "total": loss.item(), "local": None, "global": None}
 
@@ -132,7 +131,7 @@ def local_update(stack: ModelStack, x, labels, window: tuple[int, int],
             loss, _ = (
                 stage_loss(stack, x[idx], labels[idx], window, cfg)
                 if scheme == "window"
-                else _baseline_stage_loss(stack, x[idx], labels[idx], scheme)
+                else _baseline_stage_loss(stack, x[idx], labels[idx])
             )
             tape.backward(loss)
         losses.append(loss.item())

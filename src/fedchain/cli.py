@@ -105,7 +105,7 @@ def _cmd_run(args, mode: str | None = None) -> int:
         "rounds": len(result.records),
         "L_start": result.L_start,
         "Q": result.Q,
-        "final_accuracy": result.final_accuracy,
+        "final_accuracy": result.final_accuracy if result.records else None,  # NaN is not JSON
     }
     print(json.dumps(summary), file=sys.stderr)
     return EXIT_OK

@@ -29,6 +29,7 @@ from .model import (
     evaluate_accuracy,
     head_param_count,
     layer_param_count,
+    mark_trainable,
     named_parameters,
 )
 from .similarity import CKAProfile, aggregate_profiles, profile_layers, select_start_layer
@@ -392,17 +393,17 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     peak = estimate_peak_memory(dims, cfg.chain.batch, exp.dataset.seq_len, Q=Q,
                                 scheme=RUN_MODES[mode].scheme).peak_bytes
 
-    mutable = _mutable_parameters(stack)
     records: list[RoundRecord] = []
     sink = open(metrics_path, "w") if metrics_path else None
     try:
         for r in range(1, fed.rounds + 1):
             window = schedule.window_at_round(r)
             participants = sample_clients(fed.N, sample_count, r, seed)
-            snapshot = {name: t.data.copy() for name, t in mutable.items()}
+            trainable = mark_trainable(stack, window, RUN_MODES[mode].scheme)
+            snapshot = {name: t.data.copy() for name, t in trainable.items()}
             deltas, sizes, losses = [], [], []
             for cid in participants:
-                for name, t in mutable.items():
+                for name, t in trainable.items():
                     t.data = snapshot[name].copy()
                 shard = exp.clients[cid].shard
                 delta, info = local_update(
@@ -414,7 +415,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
                 deltas.append(delta)
                 sizes.append(len(shard))
                 losses.append(info["mean_loss"])
-            for name, t in mutable.items():
+            for name, t in trainable.items():
                 t.data = snapshot[name]
             aggregate(stack, deltas, sizes)
             record = RoundRecord(
@@ -442,8 +443,3 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     return RunResult(records=records, stack=stack, L_start=L_start, Q=Q,
                      profile=profile, clients=exp.clients)
 
-
-def _mutable_parameters(stack: ModelStack) -> dict:
-    params = named_parameters(stack)
-    return {name: t for name, t in params.items()
-            if name.startswith("layer.") or name.startswith("final_head.")}

@@ -49,13 +49,9 @@ def init_adapter(u: int, v: int, seed) -> AdapterParams:
     return AdapterParams(down, up)
 
 
-def _adapters(h: Tensor, adapters: list[AdapterParams]) -> Tensor:
-    """The adapters applied in order, as one tape node (see tensor.adapter_chain)."""
-    return adapter_chain(h, [(a.down, a.up) for a in adapters])
-
-
 def adapter_forward(h: Tensor, adapter: AdapterParams) -> Tensor:
-    return _adapters(h, [adapter])
+    """The adapter as one tape node (see tensor.adapter_chain)."""
+    return adapter_chain(h, [(adapter.down, adapter.up)])
 
 
 def _uniform(rng, shape, fan_in, scale):
@@ -279,7 +275,7 @@ def _frozen_prefix(stack: ModelStack, upto: int) -> tuple[int, bool]:
     """(n, backbone): no parameter of layers 1..n requires grad, and backbone
     says layer n + 1's backbone has none either while its adapter does.
 
-    n = upto when nothing in layers 1..upto requires grad.
+    n = upto when nothing in layers 1..upto requires grad (mark_trainable sets the flags).
     """
     for n, unit in enumerate(stack.units[:upto]):
         if any(t.requires_grad for t in unit.backbone.params().values()):
@@ -300,44 +296,27 @@ def _frozen_walk(stack: ModelStack, x, n: int, backbone: bool = False) -> Tensor
         return gather_rows(h, index)
 
 
-def forward_through(stack: ModelStack, x, upto: int | None = None,
-                    active_set=()) -> tuple[Tensor, list[int]]:
+def forward_through(stack: ModelStack, x, upto: int | None = None) -> tuple[Tensor, list[int]]:
     """Apply layers 1..upto, each as backbone-then-adapter.
 
     Nothing below the first layer with a grad-requiring parameter records a
     tape node: layers 1..n before it, and its backbone unless that trains.
-    Where n >= 1, that frozen part runs as one no-grad walk of walk_input:
-    once per distinct token id on an mlp stack with at least 2 of them,
-    read back per row.  The rest runs per row.  Either way the hidden state
-    and the gradients are bitwise those of a per-row walk.
+    That frozen part runs as one no-grad walk of walk_input: once per
+    distinct token id on an mlp stack with at least 2 of them, read back per
+    row.  The rest runs per row.  Either way the hidden state and the
+    gradients are bitwise those of a per-row walk.
 
-    active_set names the layers whose adapters may train.  A layer outside
-    it that no grad-requiring activation reaches records nothing, since no
-    input of its ops requires grad; those layer indices are returned as the
-    released-memory trace (their activations are releasable immediately
-    after consumption).
+    Also returns layers 1..n, whose activations no gradient needs: the
+    released-memory trace.
     """
-    L = stack.L
-    upto = L if upto is None else upto
-    if not 0 <= upto <= L:
-        raise ValueError(f"upto must lie in [0, {L}], got {upto}")
-    active = set(active_set)
-    if not active <= set(range(1, upto + 1)):
-        raise ValueError(f"active_set {sorted(active)} not within layers 1..{upto}")
+    upto = stack.L if upto is None else upto
+    if not 0 <= upto <= stack.L:
+        raise ValueError(f"upto must lie in [0, {stack.L}], got {upto}")
     n, backbone = _frozen_prefix(stack, upto)
-    if n:
-        h = _frozen_walk(stack, x, n, backbone)
-        if backbone:
-            h = adapter_forward(h, stack.units[n].adapter)
-    else:  # a window at layer 1 walks every row from the embedding up
-        h, backbone = stack.embed(x), False
-    walked = n + backbone
-    releasable = [i for i in range(1, walked + 1) if i not in active]
-    for i in range(walked + 1, upto + 1):
-        if i not in active and not h.requires_grad:
-            releasable.append(i)
-        h = apply_layers(stack, h, i, i)
-    return h, releasable
+    h = _frozen_walk(stack, x, n, backbone)
+    if backbone:
+        h = adapter_forward(h, stack.units[n].adapter)
+    return apply_layers(stack, h, n + backbone + 1, upto), list(range(1, n + 1))
 
 
 def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
@@ -390,7 +369,8 @@ def aux_branch_forward(stack: ModelStack, hidden: Tensor, from_layer: int, label
         raise ValueError(f"layer index {from_layer} out of range 1..{stack.L}")
     if from_layer == stack.L:
         raise ValueError("aux branch undefined at the final layer; use the end-to-end loss")
-    h = _adapters(hidden, [unit.adapter for unit in stack.units[from_layer:]])
+    h = adapter_chain(hidden, [(unit.adapter.down, unit.adapter.up)
+                               for unit in stack.units[from_layer:]])
     return end_to_end_loss(stack, h, labels)
 
 

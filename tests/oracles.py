@@ -166,16 +166,19 @@ def greedy_partition(stack, n_rows: int, mem_budget) -> list[list[int]]:
     return blocks
 
 
-def forward_through_per_row(stack, x, upto=None, active_set=()):
+def forward_through_per_row(stack, x, upto=None):
     """fedchain.model.forward_through as a plain loop: every layer, backbone then
-    adapter, on every row of x, frozen or not, with the same released-layer list."""
+    adapter, on every row of x, frozen or not.  The released layers are those
+    below the first layer with a grad-requiring backbone or adapter tensor."""
     from fedchain.model import adapter_forward
 
     upto = stack.L if upto is None else upto
     h = stack.embed(x)
-    releasable = []
+    releasable, frozen = [], True
     for i, unit in enumerate(stack.units[:upto], start=1):
-        if i not in active_set and not h.requires_grad:
+        tensors = [*unit.backbone.params().values(), unit.adapter.down, unit.adapter.up]
+        frozen = frozen and not any(t.requires_grad for t in tensors)
+        if frozen:
             releasable.append(i)
         h = adapter_forward(unit.backbone.forward(h), unit.adapter)
     return h, releasable

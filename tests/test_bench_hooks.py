@@ -26,7 +26,7 @@ from fedchain import (
     local_update,
     parse_config,
 )
-from fedchain.model import AttnLiteLayer
+from fedchain.model import AttnLiteLayer, build_stack
 from fedchain.tensor import Tensor
 
 from test_cli_properties import FIELDS
@@ -91,6 +91,25 @@ def test_tracer_times_every_op_of_an_attn_lite_layer():
     assert dict(calls) == {"tensor.op.layer_norm": 2, "tensor.op.gelu": 1, "tensor.op.matmul": 8,
                            "tensor.op.reshape": 6, "tensor.op.add": 2, "tensor.op.bias_add": 2,
                            "tensor.op.mul": 1, "tensor.op.softmax": 1, "tensor.op.swap_last2": 1}
+
+
+@pytest.mark.parametrize("scheme, window, released", [
+    ("window", (2, 3), 1), ("all_adapters", (1, 4), 0), ("final_only", (1, 4), 4)])
+def test_tracer_counts_the_released_layers_of_a_step(scheme, window, released):
+    # model.prefix_layer_rows reads forward_through's released list, one count per row
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    stack = build_stack(StackDims(L=4, u=8, v=2, C=2, vocab=13), seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, 13, size=(6, 4)), rng.integers(0, 2, size=6)
+    tracer.install()
+    try:
+        fedchain.federation.local_update(stack, x, y, window, StageLossConfig(), steps=1,
+                                         lr=0.1, batch_size=6, seed=0, scheme=scheme)
+    finally:
+        tracer.restore()
+    assert tracer.counts["model.prefix_layer_rows"] == released * len(x)
+    assert tracer.counts["model.window_layer_rows"] == (window[1] - released) * len(x)
 
 
 @pytest.mark.parametrize("tiny", [False, True])

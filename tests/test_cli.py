@@ -55,6 +55,22 @@ def test_run_prints_records_without_out_path(config_path, capsys):
     assert len(records) == 1 and records[0]["round"] == 1
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_run_summary_is_strict_json(config_path, capsys, rounds):
+    assert main(["run", "--config", str(config_path), "--rounds", str(rounds)]) == EXIT_OK
+    line = capsys.readouterr().err.strip().split("\n")[-1]
+    summary = json.loads(line, parse_constant=_not_json)  # NaN and Infinity raise
+    assert summary["rounds"] == rounds
+    if rounds:
+        assert 0.0 <= summary["final_accuracy"] <= 1.0
+    else:
+        assert summary["final_accuracy"] is None
+
+
 def test_run_seed_override_changes_results(config_path, capsys):
     main(["run", "--config", str(config_path), "--rounds", "1"])
     first, _ = _stderr_summary(capsys)

@@ -113,7 +113,7 @@ def test_a_nan_backbone_weight_still_raises(layer):
         profile_layers(stack, x)
     mark_trainable(stack, (6, 6))  # layer 6's backbone runs in the frozen walk too
     with Tape(), pytest.raises(NumericError):
-        forward_through(stack, x, upto=6, active_set=[6])
+        forward_through(stack, x, upto=6)
 
 
 # ---------------------------------------------------------------- training steps
@@ -212,11 +212,10 @@ def test_the_frozen_walk_records_nothing_and_runs_each_distinct_id_once(monkeypa
     assert k < x.size
     seen = _rows_seen(monkeypatch, stack)
     with Tape() as tape:
-        h, released = forward_through(stack, x, upto=lo, active_set=[lo])
+        h, released = forward_through(stack, x, upto=lo)
     assert len(tape) == 1 and h.requires_grad  # the window adapter's one node
     assert released == list(range(1, lo))
-    # a window at layer 1 has no frozen layer below it and walks per row
-    assert seen == {i: [k if lo > 1 else x.size] if i <= lo else [] for i in seen}
+    assert seen == {i: [k] if i <= lo else [] for i in seen}
 
 
 def test_desk_step_records_as_many_tape_nodes_as_the_per_row_step(monkeypatch):
@@ -238,7 +237,7 @@ def test_a_grad_requiring_backbone_stops_the_frozen_walk_before_it(monkeypatch, 
     grads = _assert_step_is_per_row(monkeypatch, stack, x, (3, 4))[3]
     assert f"backbone.{layer}.fc1.W" in grads
     seen = _rows_seen(monkeypatch, stack)
-    forward_through(stack, x, upto=4, active_set=[3, 4])
+    forward_through(stack, x, upto=4)
     k = len(np.unique(x))
     walked = min(layer - 1, 3)  # below that backbone, up to the window's first backbone
     assert seen == {i: [k] if i <= walked else [x.size] if i <= 4 else [] for i in seen}

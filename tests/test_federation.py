@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from fedchain import federation
 from fedchain.chain import StageLossConfig, local_update
 from fedchain.config import parse_config
 from fedchain.federation import (
@@ -331,6 +332,25 @@ def test_run_preserves_backbone_and_embedding():
     result = run(cfg)
     fresh = build_stack(result.stack.dims, seed=np.random.SeedSequence([11, 1]))
     assert backbone_fingerprint(result.stack) == backbone_fingerprint(fresh)
+
+
+def test_run_leaves_what_no_window_trains_untouched(monkeypatch):
+    built = {}
+
+    def recorded(*args, **kwargs):
+        stack = build_stack(*args, **kwargs)
+        built.update((name, t.data) for name, t in named_parameters(stack).items())
+        return stack
+
+    monkeypatch.setattr(federation, "build_stack", recorded)
+    result = run(make_cfg(chain={"L_start": 3}, federation={"Q": 1}))
+    assert [rec.window for rec in result.records] == [(3, 3), (4, 4), (3, 3)]
+    trained = ("layer.3.", "layer.4.", "final_head.")
+    outside = {name: t.data for name, t in named_parameters(result.stack).items()
+               if not name.startswith(trained)}
+    assert sum(name.startswith(("layer.1.", "layer.2.")) for name in outside) == 8
+    for name, arr in outside.items():
+        assert arr is built[name], name  # the same array object, not a restored copy
 
 
 def test_run_comm_bytes_accounting():

@@ -116,12 +116,13 @@ def test_build_stack_seed_determinism():
 def test_releasable_trace_counts():
     stack = build_stack(DIMS, seed=1)
     x = _tokens(np.random.default_rng(4))
-    _, rel = forward_through(stack, x, upto=4, active_set={3, 4})
-    assert rel == [1, 2]
-    _, rel = forward_through(stack, x, upto=4, active_set=())
-    assert rel == [1, 2, 3, 4]
-    _, rel = forward_through(stack, x, upto=3, active_set={1, 2, 3})
-    assert rel == []
+    assert forward_through(stack, x, upto=3)[1] == [1, 2, 3]  # a fresh stack trains nothing
+    mark_trainable(stack, window=(3, 4))
+    assert forward_through(stack, x, upto=4)[1] == [1, 2]
+    mark_trainable(stack, scheme="all_adapters")
+    assert forward_through(stack, x, upto=3)[1] == []
+    mark_trainable(stack, scheme="final_only")
+    assert forward_through(stack, x)[1] == [1, 2, 3, 4]
 
 
 def test_releasable_trace_respects_upstream_gradients():
@@ -130,7 +131,7 @@ def test_releasable_trace_respects_upstream_gradients():
     mark_trainable(stack, window=(2, 2))
     x = _tokens(np.random.default_rng(4))
     with Tape():
-        _, rel = forward_through(stack, x, upto=4, active_set={2})
+        _, rel = forward_through(stack, x, upto=4)
         assert rel == [1]
 
 
@@ -139,8 +140,6 @@ def test_forward_through_validates_arguments():
     x = _tokens(np.random.default_rng(0))
     with pytest.raises(ValueError):
         forward_through(stack, x, upto=5)
-    with pytest.raises(ValueError):
-        forward_through(stack, x, upto=2, active_set={3})
 
 
 # ---------------------------------------------------------------- losses
@@ -188,7 +187,7 @@ def test_gradients_reach_window_through_aux_branch():
     x = _tokens(np.random.default_rng(8))
     y = np.random.default_rng(9).integers(0, 3, size=5)
     with Tape() as tape:
-        h, _ = forward_through(stack, x, upto=2, active_set={2})
+        h, _ = forward_through(stack, x, upto=2)
         backward(tape, aux_branch_forward(stack, h, 2, y))
     assert trainable["layer.2.adapter.down"].grad is not None
     # frozen later adapters pass gradients but accumulate none
