@@ -63,17 +63,15 @@ class DataConfig:
 class FederationConfig:
     N: int
     rounds: int
+    sample_count: int
     partition: str = "dirichlet"
     alpha: float = 1.0
-    sample_count: int | None = None
-    sample_fraction: float | None = None
     budgets: list[float] | None = None
     Q: int | None = None
 
     def resolved_sample_count(self) -> int:
-        if self.sample_count is not None:
-            return self.sample_count
-        return max(1, round(self.sample_fraction * self.N))
+        # kept only for the benchmark worker under perfbench/, which still calls it
+        return self.sample_count
 
 
 @dataclass
@@ -210,12 +208,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"federation.partition: expected one of {PARTITIONS}, got {federation.partition!r}")
     if federation.alpha <= 0:
         problems.append(f"federation.alpha: must be > 0, got {federation.alpha}")
-    if (federation.sample_count is None) == (federation.sample_fraction is None):
-        problems.append("federation.sample_count / sample_fraction: exactly one must be set")
-    if federation.sample_count is not None and not 1 <= federation.sample_count <= federation.N:
+    if not 1 <= federation.sample_count <= federation.N:
         problems.append(f"federation.sample_count: must lie in [1, N={federation.N}], got {federation.sample_count}")
-    if federation.sample_fraction is not None and not 0.0 < federation.sample_fraction <= 1.0:
-        problems.append(f"federation.sample_fraction: must lie in (0, 1], got {federation.sample_fraction}")
     if (federation.budgets is None) == (federation.Q is None):
         problems.append("federation.budgets / federation.Q: exactly one must be set")
     if federation.budgets is not None:

@@ -100,7 +100,6 @@ def dirichlet_partition(labels, n_clients: int, alpha: float, seed) -> list[np.n
 
 @dataclass
 class ClientProfile:
-    id: int
     mem_budget: float | None
     shard: np.ndarray
 
@@ -193,24 +192,21 @@ def aggregation_weights(sizes: list[int]) -> list[Fraction]:
 
 def aggregate(stack: ModelStack, deltas: list[ParamDelta], sizes: list[int]) -> dict[str, np.ndarray]:
     """Apply the weighted-mean delta in place; deltas come in ascending client order."""
+    weights = [float(w) for w in aggregation_weights(sizes)]
     if len(deltas) != len(sizes):
         raise ValueError("one shard size per delta required")
     keys = list(deltas[0].keys())
     for d in deltas[1:]:
         if list(d.keys()) != keys:
             raise ValueError(f"delta key sets differ: {sorted(set(d) ^ set(keys))}")
-    weights = [float(w) for w in aggregation_weights(sizes)]
     params = named_parameters(stack)
     applied: dict[str, np.ndarray] = {}
     for key in keys:
         if key not in params:
             raise ValueError(f"unknown parameter name {key!r}")
-        if len(deltas) == 1:
-            update = deltas[0][key]
-        else:
-            update = np.zeros_like(deltas[0][key])
-            for w, d in zip(weights, deltas):
-                update = update + w * d[key]
+        update = np.zeros_like(deltas[0][key])
+        for w, d in zip(weights, deltas):
+            update = update + w * d[key]
         if update.shape != params[key].data.shape:
             raise ValueError(f"delta shape {update.shape} mismatches {key} {params[key].data.shape}")
         params[key].data = params[key].data + update
@@ -320,7 +316,7 @@ def setup(cfg, dataset=None) -> Experiment:
         local_shards = dirichlet_partition(dataset.y[train_idx], fed.N, fed.alpha,
                                            [seed, _TAG_PARTITION])
     budgets = fed.budgets if fed.budgets is not None else [None] * fed.N
-    clients = [ClientProfile(id=i, mem_budget=budgets[i], shard=train_idx[local_shards[i]])
+    clients = [ClientProfile(mem_budget=budgets[i], shard=train_idx[local_shards[i]])
                for i in range(fed.N)]
     return Experiment(dataset, stack, eval_idx, clients)
 
@@ -389,7 +385,6 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     dims = stack.dims
     schedule = WindowSchedule(L_start, dims.L, Q)
     stage_cfg = StageLossConfig(lam=cfg.chain.lam if RUN_MODES[mode].gpo else 0.0)
-    sample_count = fed.resolved_sample_count()
     peak = estimate_peak_memory(dims, cfg.chain.batch, exp.dataset.seq_len, Q=Q,
                                 scheme=RUN_MODES[mode].scheme).peak_bytes
 
@@ -398,7 +393,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     try:
         for r in range(1, fed.rounds + 1):
             window = schedule.window_at_round(r)
-            participants = sample_clients(fed.N, sample_count, r, seed)
+            participants = sample_clients(fed.N, fed.sample_count, r, seed)
             trainable = mark_trainable(stack, window, RUN_MODES[mode].scheme)
             snapshot = {name: t.data.copy() for name, t in trainable.items()}
             deltas, sizes, losses = [], [], []

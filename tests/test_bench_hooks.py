@@ -74,6 +74,12 @@ def test_worker_calls_keep_their_keywords():
     assert StageLossConfig(lam=0.3).lam == 0.3
     assert {"L_start", "Q", "stack"} <= {f.name for f in dataclasses.fields(RunResult)}
     assert fedchain.federation.local_update is local_update
+    workloads = _load("workloads")
+    files = {"path": "data.jsonl", "vocab_path": "vocab.json"}
+    for wl in workloads.WORKLOADS.values():
+        for tiny in (False, True):
+            fed = parse_config(wl.config(files, tiny)).federation
+            assert fed.resolved_sample_count() == fed.sample_count
 
 
 def test_tracer_times_every_op_of_an_attn_lite_layer():

@@ -12,7 +12,13 @@ from fedchain.chain import (
     minibatch_order,
     stage_loss,
 )
-from fedchain.model import StackDims, build_stack, mark_trainable
+from fedchain.model import (
+    StackDims,
+    build_stack,
+    end_to_end_loss,
+    forward_through,
+    mark_trainable,
+)
 from fedchain.tensor import Tape
 
 from oracles import finite_difference, max_relative_error
@@ -196,6 +202,44 @@ def test_baseline_schemes_expose_expected_delta_keys():
                             lr=0.1, batch_size=6, seed=0, scheme="all_adapters")
     assert set(delta) == {f"layer.{i}.adapter.{p}" for i in range(1, 5)
                           for p in ("down", "up")} | {"final_head.W", "final_head.b"}
+
+
+def _end_to_end_sgd(stack, x, y, scheme, steps, lr, batch_size, seed):
+    """A baseline's local update written out: the whole stack, the end-to-end loss, SGD."""
+    trainable = mark_trainable(stack, scheme=scheme)
+    pre = {name: t.data.copy() for name, t in trainable.items()}
+    for idx in minibatch_order(len(x), batch_size, steps, seed):
+        with Tape() as tape:
+            hidden, _ = forward_through(stack, x[idx], upto=stack.L)
+            tape.backward(end_to_end_loss(stack, hidden, y[idx]))
+        for t in trainable.values():
+            if t.grad is not None:
+                t.data = t.data - lr * t.grad
+            t.grad = None
+    return {name: t.data - pre[name] for name, t in trainable.items()}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "attn-lite"])
+@pytest.mark.parametrize("scheme", ["all_adapters", "final_only"])
+def test_baseline_update_is_bitwise_end_to_end_sgd(kind, scheme):
+    # a baseline steps on stage_loss at (1, L): exactly the end-to-end objective
+    dims = StackDims(L=3, u=8, v=3, C=3, kind=kind, vocab=11)
+    x, y = _data(5, n=10)
+    got, _ = local_update(build_stack(dims, seed=6), x, y, (1, 3), StageLossConfig(lam=0.5),
+                          steps=3, lr=0.2, batch_size=4, seed=1, scheme=scheme)
+    want = _end_to_end_sgd(build_stack(dims, seed=6), x, y, scheme, steps=3, lr=0.2,
+                           batch_size=4, seed=1)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_baseline_scheme_takes_only_the_whole_stack_window():
+    stack = build_stack(DIMS, seed=7)
+    x, y = _data(7)
+    with pytest.raises(ValueError, match=r"window \(1, 4\)"):
+        local_update(stack, x, y, (1, 2), StageLossConfig(), steps=1, lr=0.1,
+                     batch_size=6, seed=0, scheme="all_adapters")
 
 
 def test_aux_adapters_stay_frozen_by_default():

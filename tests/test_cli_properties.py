@@ -32,8 +32,7 @@ FIELDS = {
     "model": ("L", "u", "v", "kind", "ffn", "classes", "seed", "init_scale"),
     "data": ("source", "kind", "M", "seq_len", "eval_fraction", "vocab", "signal",
              "path", "vocab_path"),
-    "federation": ("N", "rounds", "partition", "alpha", "sample_count", "sample_fraction",
-                   "budgets", "Q"),
+    "federation": ("N", "rounds", "sample_count", "partition", "alpha", "budgets", "Q"),
     "chain": ("lambda", "T", "L_start", "lr", "local_steps", "batch"),
     "out": ("metrics", "checkpoint"),
     None: ("model", "data", "federation", "chain", "mode", "out"),
@@ -41,7 +40,7 @@ FIELDS = {
 # plus one field no schema knows, and the fields the schema no longer has
 PATHS = [(section, key) for section, keys in FIELDS.items() for key in keys] + [
     (None, "extra"), ("model", "vocab"), ("model", "feature_dim"),
-    ("model", "adapter_activation"), ("data", "noise")]
+    ("model", "adapter_activation"), ("data", "noise"), ("federation", "sample_fraction")]
 
 DROP = object()
 VALUES = st.sampled_from([

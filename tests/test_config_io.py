@@ -64,10 +64,12 @@ def test_config_exactly_one_invariants():
         parse_config(_raw(federation={"budgets": [1e9, 1e9, 1e9, 1e9], "Q": 2}))
     with pytest.raises(ConfigError, match="budgets / federation.Q"):
         parse_config(_raw(federation={"Q": None}))
-    with pytest.raises(ConfigError, match="sample_count / sample_fraction"):
-        parse_config(_raw(federation={"sample_count": 2, "sample_fraction": 0.5}))
-    with pytest.raises(ConfigError, match="sample_count / sample_fraction"):
-        parse_config(_raw(federation={"sample_count": None}))
+    raw = _raw()
+    del raw["federation"]["sample_count"]
+    with pytest.raises(ConfigError, match=r"federation\.sample_count: required"):
+        parse_config(raw)
+    with pytest.raises(ConfigError, match=r"federation\.sample_fraction: unknown field"):
+        parse_config(_raw(federation={"sample_fraction": 0.5}))
 
 
 def test_config_unknown_fields_are_cited_by_path():

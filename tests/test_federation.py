@@ -226,6 +226,11 @@ def test_aggregate_validates_keys_and_shapes():
         aggregate(stack, [_const_delta(stack, 1.0)], [1, 2])
 
 
+def test_aggregate_rejects_an_empty_round():
+    with pytest.raises(ValueError, match="shard sizes"):
+        aggregate(build_stack(DIMS, seed=0), [], [])
+
+
 # ---------------------------------------------------------------- memory model
 
 
