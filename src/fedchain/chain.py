@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
+    FrozenWalk,
     ModelStack,
     aux_branch_forward,
     end_to_end_loss,
@@ -66,12 +67,12 @@ class StageLossConfig:
 
 
 def stage_loss(stack: ModelStack, x, labels, window: tuple[int, int],
-               cfg: StageLossConfig) -> tuple[Tensor, dict]:
+               cfg: StageLossConfig, walk: FrozenWalk | None = None) -> tuple[Tensor, dict]:
     """Loss for one window stage; the final window position forces end_to_end."""
     lo, hi = window
     if not 1 <= lo <= hi <= stack.L:
         raise ValueError(f"window {window} out of range 1..{stack.L}")
-    hidden, _ = forward_through(stack, x, upto=hi)
+    hidden, _ = forward_through(stack, x, upto=hi, walk=walk)
     if hi == stack.L:
         loss = end_to_end_loss(stack, hidden, labels)
         return loss, {"mode": "end_to_end", "total": loss.item(),
@@ -108,12 +109,15 @@ def minibatch_order(n: int, batch_size: int, steps: int, seed) -> list[np.ndarra
 
 def local_update(stack: ModelStack, x, labels, window: tuple[int, int],
                  cfg: StageLossConfig, steps: int, lr: float, batch_size: int,
-                 seed, scheme: str = "window") -> tuple[ParamDelta, dict]:
+                 seed, scheme: str = "window",
+                 walk: FrozenWalk | None = None) -> tuple[ParamDelta, dict]:
     """Plain-SGD minibatch steps on the stage's trainable set.
 
     Every scheme steps on `stage_loss` at `window`; a baseline scheme
     ("all_adapters", "final_only") trains past any window, so it takes the
-    one window (1, L) over the whole stack.  Returns (post - pre) for every
+    one window (1, L) over the whole stack.  `walk` is a model.shared_walk
+    over ids including x's, taken after this stage's mark_trainable; None
+    walks each step's own batch.  Returns (post - pre) for every
     trainable tensor, keyed by parameter name, plus per-step loss info.  The
     caller owns snapshot/restore of globals.
     """
@@ -132,7 +136,7 @@ def local_update(stack: ModelStack, x, labels, window: tuple[int, int],
     losses = []
     for idx in minibatch_order(n, batch_size, steps, seed):
         with Tape() as tape:
-            loss, _ = stage_loss(stack, x[idx], labels[idx], window, cfg)
+            loss, _ = stage_loss(stack, x[idx], labels[idx], window, cfg, walk)
             tape.backward(loss)
         losses.append(loss.item())
         for t in trainable.values():

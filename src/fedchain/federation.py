@@ -31,6 +31,7 @@ from .model import (
     layer_param_count,
     mark_trainable,
     named_parameters,
+    shared_walk,
 )
 from .similarity import CKAProfile, aggregate_profiles, profile_layers, select_start_layer
 
@@ -369,7 +370,14 @@ def window_size(cfg, dims: StackDims, seq_len: int, mode: str, L_start: int) -> 
 
 def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
         checkpoint_path=None, progress=None) -> RunResult:
-    """Execute a federated experiment; see config.ExperimentConfig for knobs."""
+    """Execute a federated experiment; see config.ExperimentConfig for knobs.
+
+    Each round walks the frozen part of its steps once over the participants'
+    shards (model.shared_walk) for every local step to read: a speed-up of the
+    simulator only, which no device could share and the memory model does not
+    count.  run rebinds a tensor's .data and never writes a frozen array in
+    place, which is what keeps that walk checkable.
+    """
     from .config import ExperimentConfig  # local import to keep layering acyclic
 
     assert isinstance(cfg, ExperimentConfig)
@@ -395,17 +403,21 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
             window = schedule.window_at_round(r)
             participants = sample_clients(fed.N, fed.sample_count, r, seed)
             trainable = mark_trainable(stack, window, RUN_MODES[mode].scheme)
+            shards = [exp.clients[cid].shard for cid in participants]
+            walk = None
+            # a one-row batch walks on its own: a one-row matmul is not bitwise a row of a k-row one
+            if dataset.seq_len * min(cfg.chain.batch, *map(len, shards)) >= 2:
+                walk = shared_walk(stack, dataset.x[np.concatenate(shards)], window[1])
             snapshot = {name: t.data.copy() for name, t in trainable.items()}
             deltas, sizes, losses = [], [], []
-            for cid in participants:
+            for cid, shard in zip(participants, shards):
                 for name, t in trainable.items():
                     t.data = snapshot[name].copy()
-                shard = exp.clients[cid].shard
                 delta, info = local_update(
                     stack, dataset.x[shard], dataset.y[shard], window, stage_cfg,
                     steps=cfg.chain.local_steps, lr=cfg.chain.lr,
                     batch_size=cfg.chain.batch, seed=[seed, _TAG_UPDATE, r, cid],
-                    scheme=RUN_MODES[mode].scheme,
+                    scheme=RUN_MODES[mode].scheme, walk=walk,
                 )
                 deltas.append(delta)
                 sizes.append(len(shard))

@@ -285,26 +285,82 @@ def _frozen_prefix(stack: ModelStack, upto: int) -> tuple[int, bool]:
     return upto, False
 
 
-def _frozen_walk(stack: ModelStack, x, n: int, backbone: bool = False) -> Tensor:
-    """Layers 1..n, then layer n + 1's backbone if asked, as a no-grad walk of
-    walk_input(stack, x), read back as the [b, t, u] hidden state of every row of x."""
-    with no_grad():
-        x, index = walk_input(stack, x)
-        h = apply_layers(stack, stack.embed(x), 1, n)
+class FrozenWalk:
+    """Layers 1..n, then layer n + 1's backbone if `backbone`, walked once with no
+    grad over walk_input(stack, x) and read back per batch by `rows`.
+
+    Where walk_input takes distinct ids, any batch of the walked ids reads
+    back, since a row of a k >= 2-row walk is bitwise that row of any other:
+    `run` shares one walk a round (`shared_walk`) across every local step.
+    Otherwise only x itself reads back.
+    """
+
+    def __init__(self, stack: ModelStack, x, n: int, backbone: bool = False):
+        self.n, self.backbone = n, backbone
+        self._embed = stack.embed
+        walked = [stack.embed.table]
+        for unit in stack.units[:n]:
+            walked += [*unit.backbone.params().values(), unit.adapter.down, unit.adapter.up]
         if backbone:
-            h = stack.units[n].backbone.forward(h)
-        return gather_rows(h, index)
+            walked += stack.units[n].backbone.params().values()
+        self._walked = [(t, t.data) for t in walked]
+        with no_grad():
+            ids, index = walk_input(stack, x)
+            h = apply_layers(stack, stack.embed(ids), 1, n)
+            if backbone:
+                h = stack.units[n].backbone.forward(h)
+        self._h, self._x, self._slot = h, x, None
+        if index is not None:
+            self._slot = np.full(stack.embed.vocab, -1, dtype=np.intp)
+            self._slot[ids[:, 0]] = np.arange(len(ids))
+
+    def rows(self, x, n: int, backbone: bool = False) -> Tensor:
+        """The [b, t, u] walked hidden state of x, for a caller whose frozen part is (n, backbone).
+
+        Raises ValueError, and never walks instead, if (n, backbone) is not the
+        walk's, if x holds an id the walk did not take, or if a walked tensor's
+        .data is not the array the walk read (`run` rebinds a tensor's .data and
+        never writes a frozen array in place, so `is` finds any change).
+        """
+        if (n, backbone) != (self.n, self.backbone):
+            raise ValueError(f"walk covers (n, backbone) = {(self.n, self.backbone)}, "
+                             f"the requires_grad flags give {(n, backbone)}")
+        if any(t.data is not data for t, data in self._walked):
+            raise ValueError("a walked tensor changed since the walk")
+        if self._slot is None:
+            if x is not self._x:
+                raise ValueError("a per-row walk reads back only the batch it walked")
+            return self._h
+        index = self._slot[self._embed.validate(x)]
+        if (index < 0).any():
+            raise ValueError("batch holds a token id the walk did not take")
+        return gather_rows(self._h, index)
 
 
-def forward_through(stack: ModelStack, x, upto: int | None = None) -> tuple[Tensor, list[int]]:
+def shared_walk(stack: ModelStack, x, upto: int) -> FrozenWalk | None:
+    """The frozen part of forward_through(stack, batch, upto) for every batch of x's
+    ids, walked once, as the requires_grad flags now set it.
+
+    None where the walk would run per row: a stack that mixes tokens, or x
+    with fewer than 2 distinct ids.  Nothing is walked then.
+    """
+    ids, index = walk_input(stack, x)
+    if index is None:
+        return None
+    return FrozenWalk(stack, ids, *_frozen_prefix(stack, upto))
+
+
+def forward_through(stack: ModelStack, x, upto: int | None = None,
+                    walk: FrozenWalk | None = None) -> tuple[Tensor, list[int]]:
     """Apply layers 1..upto, each as backbone-then-adapter.
 
     Nothing below the first layer with a grad-requiring parameter records a
     tape node: layers 1..n before it, and its backbone unless that trains.
-    That frozen part runs as one no-grad walk of walk_input: once per
-    distinct token id on an mlp stack with at least 2 of them, read back per
-    row.  The rest runs per row.  Either way the hidden state and the
-    gradients are bitwise those of a per-row walk.
+    That frozen part is read from `walk` (a shared_walk over ids including
+    x's), else from a FrozenWalk of x itself: once per distinct token id on
+    an mlp stack with at least 2 of them, read back per row.  The rest runs
+    per row.  Either way the hidden state and the gradients are bitwise
+    those of a per-row walk.
 
     Also returns layers 1..n, whose activations no gradient needs: the
     released-memory trace.
@@ -313,7 +369,9 @@ def forward_through(stack: ModelStack, x, upto: int | None = None) -> tuple[Tens
     if not 0 <= upto <= stack.L:
         raise ValueError(f"upto must lie in [0, {stack.L}], got {upto}")
     n, backbone = _frozen_prefix(stack, upto)
-    h = _frozen_walk(stack, x, n, backbone)
+    if walk is None:
+        walk = FrozenWalk(stack, x, n, backbone)
+    h = walk.rows(x, n, backbone)
     if backbone:
         h = adapter_forward(h, stack.units[n].adapter)
     return apply_layers(stack, h, n + backbone + 1, upto), list(range(1, n + 1))
@@ -322,8 +380,8 @@ def forward_through(stack: ModelStack, x, upto: int | None = None) -> tuple[Tens
 def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
     """What a no-grad walk of the stack embeds in place of x, and how to read it back.
 
-    Eval and CKA profiling walk the whole stack this way, a training step
-    (forward_through) its frozen layers.
+    Eval and CKA profiling walk the whole stack this way, a FrozenWalk the
+    frozen layers of a training step.
 
     Where no layer mixes tokens, a token row's hidden state at every layer
     is a function of its id alone.  The walk then embeds each distinct id of
@@ -379,7 +437,7 @@ def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
 
 
 def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
-    h = _frozen_walk(stack, x, stack.L)
+    h = FrozenWalk(stack, x, stack.L).rows(x, stack.L)
     with no_grad():
         pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())

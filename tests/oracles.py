@@ -166,10 +166,11 @@ def greedy_partition(stack, n_rows: int, mem_budget) -> list[list[int]]:
     return blocks
 
 
-def forward_through_per_row(stack, x, upto=None):
+def forward_through_per_row(stack, x, upto=None, walk=None):
     """fedchain.model.forward_through as a plain loop: every layer, backbone then
     adapter, on every row of x, frozen or not.  The released layers are those
-    below the first layer with a grad-requiring backbone or adapter tensor."""
+    below the first layer with a grad-requiring backbone or adapter tensor.
+    A shared walk is ignored: every row is walked here anyway."""
     from fedchain.model import adapter_forward
 
     upto = stack.L if upto is None else upto

@@ -1,12 +1,15 @@
 """The no-grad walks of the stack (eval, CKA profiling and the frozen part of a
 training step) take each distinct token id once where every layer acts on each
-row alone, and are bitwise the per-row walk."""
+row alone, and are bitwise the per-row walk.  A run walks the frozen part once a
+round for all its steps."""
 import numpy as np
 import pytest
 
-from fedchain import chain
+from fedchain import chain, federation
 from fedchain.chain import StageLossConfig, WindowSchedule, stage_loss
+from fedchain.config import parse_config
 from fedchain.model import (
+    FrozenWalk,
     MlpLayer,
     StackDims,
     apply_layers,
@@ -17,6 +20,7 @@ from fedchain.model import (
     gather_rows,
     mark_trainable,
     named_parameters,
+    shared_walk,
     walk_input,
 )
 from fedchain.similarity import partition_layers, profile_layers
@@ -128,10 +132,11 @@ def _moved(dims, seed):
     return stack
 
 
-def _step(monkeypatch, stack, x, y, forward, window, lam):
+def _step(monkeypatch, stack, x, y, forward, window, lam, walk=None):
     """One training step with chain's forward_through replaced by forward: the
     hidden state and released layers forward returned, the tape length and
-    every parameter's .grad.  window None is the final_only baseline's step."""
+    every parameter's .grad.  window None is the final_only baseline's step.
+    walk is the shared walk the step reads its frozen rows from."""
     seen = []
 
     def recorded(*args, **kwargs):
@@ -144,19 +149,19 @@ def _step(monkeypatch, stack, x, y, forward, window, lam):
         t.grad = None
     with Tape() as tape:
         if window is None:
-            loss = end_to_end_loss(stack, recorded(stack, x, upto=stack.L)[0], y)
+            loss = end_to_end_loss(stack, recorded(stack, x, upto=stack.L, walk=walk)[0], y)
         else:
-            loss, _ = stage_loss(stack, x, y, window, StageLossConfig(lam))
+            loss, _ = stage_loss(stack, x, y, window, StageLossConfig(lam), walk)
         tape.backward(loss)
     (h, released), = seen
     grads = {name: t.grad for name, t in params.items() if t.grad is not None}
     return h.data, released, len(tape), grads
 
 
-def _assert_step_is_per_row(monkeypatch, stack, x, window, lam=0.2):
+def _assert_step_is_per_row(monkeypatch, stack, x, window, lam=0.2, walk=None):
     y = np.arange(len(x)) % stack.dims.C
-    got = _step(monkeypatch, stack, x, y, forward_through, window, lam)
-    want = _step(monkeypatch, stack, x, y, forward_through_per_row, window, lam)
+    got = _step(monkeypatch, stack, x, y, forward_through, window, lam, walk)
+    want = _step(monkeypatch, stack, x, y, forward_through_per_row, window, lam, walk)
     assert np.array_equal(got[0], want[0])
     assert got[1:3] == want[1:3]
     assert got[3].keys() == want[3].keys() and want[3]
@@ -251,3 +256,176 @@ def test_one_distinct_id_and_attn_lite_steps_are_the_per_row_step(monkeypatch):
     attn = _moved(StackDims(L=4, u=8, v=2, C=2, kind="attn-lite", vocab=13), 9)
     mark_trainable(attn, (3, 4))
     _assert_step_is_per_row(monkeypatch, attn, _tokens(7, 6, t=4, vocab=13), (3, 4))
+
+
+# ------------------------------------------------------- the round's shared walk
+
+
+def _round_walk(stack, x, upto):
+    """The walk a round shares: over x and the other shards of the round."""
+    return shared_walk(stack, np.concatenate([x, _tokens(20, 96)]), upto)
+
+
+ROUND_STEPS = ([("window", w, lam) for w in WINDOWS for lam in (0.0, 0.2)]
+               + [(scheme, (1, DESK.L), 0.2) for scheme in ("all_adapters", "final_only")])
+
+
+@pytest.mark.parametrize("scheme, window, lam", ROUND_STEPS,
+                         ids=[f"{s}-{lo}-{hi}-{lam}" for s, (lo, hi), lam in ROUND_STEPS])
+def test_a_step_on_the_round_walk_is_the_per_row_step_bitwise(monkeypatch, scheme, window, lam):
+    stack = _moved(DESK, 10)
+    mark_trainable(stack, window, scheme)
+    x = _tokens(11, 32)
+    walk = _round_walk(stack, x, window[1])
+    _assert_step_is_per_row(monkeypatch, stack, x, window, lam, walk)
+    # the step reads its frozen rows from the walk and walks none of them again
+    seen = _rows_seen(monkeypatch, stack)
+    with Tape():
+        forward_through(stack, x, upto=window[1], walk=walk)
+    frozen = walk.n + walk.backbone
+    assert seen == {i: [] if i <= frozen else [x.size] if i <= window[1] else [] for i in seen}
+
+
+def test_a_one_id_batch_on_the_round_walk_is_the_per_row_step(monkeypatch):
+    stack = _moved(DESK, 12)
+    mark_trainable(stack, (3, 4))
+    one_id = np.full((4, 16), 7)
+    _assert_step_is_per_row(monkeypatch, stack, one_id, (3, 4), walk=_round_walk(stack, one_id, 4))
+
+
+def _walked_round():
+    stack = _moved(DESK, 13)
+    mark_trainable(stack, (3, 4))
+    x = _tokens(14, 32, vocab=25)  # ids 0..24 only
+    return stack, x, shared_walk(stack, x, 4)
+
+
+def test_the_round_walk_raises_when_the_frozen_part_moved():
+    stack, x, walk = _walked_round()
+    assert (walk.n, walk.backbone) == (2, True)
+    mark_trainable(stack, (2, 3))
+    with pytest.raises(ValueError, match="requires_grad flags give"):
+        forward_through(stack, x, upto=3, walk=walk)
+    mark_trainable(stack, (3, 4))
+    stack.units[2].backbone.w1.requires_grad = True  # (2, False): layer 3's backbone trains
+    with pytest.raises(ValueError, match="requires_grad flags give"):
+        forward_through(stack, x, upto=4, walk=walk)
+
+
+def test_the_round_walk_raises_on_an_id_it_did_not_walk():
+    stack, x, walk = _walked_round()
+    forward_through(stack, x[:2], upto=4, walk=walk)
+    with pytest.raises(ValueError, match="did not take"):
+        forward_through(stack, np.concatenate([x[:1], np.full((1, 16), 30)]), upto=4, walk=walk)
+
+
+@pytest.mark.parametrize("name", ["embed", "backbone.1.fc1.W", "layer.2.adapter.up",
+                                  "backbone.3.ln.gain"])
+def test_the_round_walk_raises_once_a_walked_tensor_is_rebound(name):
+    stack, x, walk = _walked_round()
+    for untouched in ("layer.3.adapter.up", "backbone.4.fc1.W"):  # not walked: SGD may rebind
+        t = named_parameters(stack)[untouched]
+        t.data = t.data.copy()
+    forward_through(stack, x, upto=4, walk=walk)
+    t = named_parameters(stack)[name]
+    t.data = t.data.copy()  # equal values, but the walk cannot tell
+    with pytest.raises(ValueError, match="changed since the walk"):
+        forward_through(stack, x, upto=4, walk=walk)
+
+
+def test_no_shared_walk_where_the_walk_runs_per_row():
+    stack = _moved(DESK, 15)
+    mark_trainable(stack, (3, 4))
+    assert shared_walk(stack, np.full((5, 16), 7), 4) is None
+    attn = build_stack(StackDims(L=3, u=8, v=2, C=2, kind="attn-lite", vocab=13), seed=1)
+    x = _tokens(5, 6, t=4, vocab=13)
+    assert shared_walk(attn, x, 3) is None
+    per_row = FrozenWalk(attn, x, 3)  # reads back only the batch it walked
+    assert per_row.rows(x, 3) is per_row.rows(x, 3)
+    with pytest.raises(ValueError, match="only the batch it walked"):
+        per_row.rows(x.copy(), 3)
+
+
+# ---------------------------------------------------------------- whole runs
+
+
+def _run_cfg(kind="mlp", rounds=4, seq_len=6, batch=16):
+    return parse_config({
+        "model": {"L": 4, "u": 8, "v": 3, "kind": kind, "seed": 5},
+        "data": {"kind": "cluster-tokens", "M": 160, "seq_len": seq_len, "vocab": 13,
+                 "eval_fraction": 0.25},
+        "federation": {"N": 4, "rounds": rounds, "partition": "iid", "sample_count": 3, "Q": 2},
+        "chain": {"lambda": 0.2, "L_start": 1, "lr": 0.5, "local_steps": 2, "batch": batch},
+    })
+
+
+def _run(tmp_path, mode, **cfg):
+    metrics = tmp_path / f"{mode}.jsonl"
+    result = federation.run(_run_cfg(**cfg), mode=mode, metrics_path=metrics)
+    return metrics.read_bytes(), {k: t.data for k, t in named_parameters(result.stack).items()}
+
+
+# the last case steps on one token row: a one-row matmul is not bitwise a row of a
+# k-row one, so such a round must walk each step on its own
+RUNS = [(mode, 6, 16) for mode in ("chainfed", "no_gpo", "no_dlct", "linear_probing",
+                                   "full_adapters")] + [("chainfed", 1, 1)]
+
+
+@pytest.mark.parametrize("mode, seq_len, batch", RUNS,
+                         ids=[f"{mode}-{t}x{b}" for mode, t, b in RUNS])
+def test_a_run_on_round_walks_is_the_run_on_per_step_walks_bitwise(monkeypatch, tmp_path, mode,
+                                                                   seq_len, batch):
+    shared = _run(tmp_path, mode, seq_len=seq_len, batch=batch)
+    monkeypatch.setattr(federation, "shared_walk", lambda *args: None)
+    own = _run(tmp_path, mode, seq_len=seq_len, batch=batch)
+    assert shared[0] == own[0]
+    assert shared[1].keys() == own[1].keys()
+    for name, data in own[1].items():
+        assert np.array_equal(shared[1][name], data), name
+
+
+def test_an_attn_lite_run_takes_no_shared_walk(monkeypatch, tmp_path):
+    built, walks = [], []
+    make_walk, init = federation.shared_walk, FrozenWalk.__init__
+
+    def spied_make_walk(*args):
+        built.append(make_walk(*args))
+        return built[-1]
+
+    def spied_init(self, stack, x, *args):
+        walks.append(np.shape(x))
+        init(self, stack, x, *args)
+
+    monkeypatch.setattr(federation, "shared_walk", spied_make_walk)
+    monkeypatch.setattr(FrozenWalk, "__init__", spied_init)
+    _run(tmp_path, "chainfed", kind="attn-lite", rounds=2)
+    assert built == [None, None]
+    # a round: one walk a step (3 clients x 2 steps, each [16, 6]), one for eval
+    assert walks == 2 * ([(16, 6)] * 6 + [(40, 6)])
+
+
+def test_a_run_walks_each_frozen_layer_once_a_round(monkeypatch):
+    cfg = _run_cfg(rounds=2)
+    exp = federation.setup(cfg)
+    x = exp.dataset.x
+    k = [len(np.unique(x[np.concatenate([exp.clients[c].shard
+                                         for c in federation.sample_clients(4, 3, r, 5)])]))
+         for r in (1, 2)]
+    k_eval = len(np.unique(x[exp.eval_idx]))
+    seen = {}
+    build = federation.build_stack
+
+    def spied_build(*args, **kwargs):
+        stack = build(*args, **kwargs)
+        seen.update(_rows_seen(monkeypatch, stack))
+        return stack
+
+    monkeypatch.setattr(federation, "build_stack", spied_build)
+    federation.run(cfg)
+    steps = [16 * 6] * (3 * 2)  # per row: 3 clients x 2 steps of [16, 6]
+    # round 1 trains window (1, 2), round 2 window (2, 3); eval walks every layer once
+    assert seen == {1: [k[0], k_eval, k[1], k_eval],
+                    2: [*steps, k_eval, k[1], k_eval],
+                    3: [k_eval, *steps, k_eval],
+                    4: [k_eval, k_eval]}
+    assert k[0] < 3 * 30 * 6 and k_eval < 40 * 6
