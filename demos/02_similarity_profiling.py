@@ -18,8 +18,8 @@ rng = np.random.default_rng(0)
 batch = rng.integers(0, dims.vocab, size=(16, 10))
 n_rows = batch.shape[0] * batch.shape[1]
 
-# A tight budget forces block-by-block execution: only one block of layers is
-# resident at a time, plus the carried hidden state at the block boundary.
+# A tight budget splits the layers into blocks: a device holds one block of
+# layers at a time, plus the carried hidden state at the block boundary.
 # Each layer costs its backbone and adapter parameters at 8 bytes (f64).
 layer_cost = 8 * (layer_param_count(dims) + adapter_param_count(dims))
 budget = 2 * n_rows * dims.u * 8 + 3 * layer_cost

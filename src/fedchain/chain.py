@@ -132,7 +132,7 @@ def local_update(stack: ModelStack, x, labels, window: tuple[int, int],
         raise ValueError(f"scheme {scheme!r} trains window (1, {stack.L}), got {window}")
     batch_size = min(batch_size, n)
     trainable = mark_trainable(stack, window, scheme)
-    pre = {name: t.data.copy() for name, t in trainable.items()}
+    pre = {name: t.data for name, t in trainable.items()}  # each step rebinds .data
     losses = []
     for idx in minibatch_order(n, batch_size, steps, seed):
         with Tape() as tape:

@@ -85,6 +85,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def _load_with_overrides(args):
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(["--seed: must be >= 0"])
         cfg.model.seed = args.seed
     if getattr(args, "rounds", None) is not None:
         if args.rounds < 0:

@@ -180,6 +180,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         problems.append(f"model.ffn: must be >= 0 (0 means 2*u), got {model.ffn}")
     if model.classes is not None and model.classes < 2:
         problems.append(f"model.classes: must be >= 2, got {model.classes}")
+    if model.seed < 0:
+        problems.append(f"model.seed: must be >= 0, got {model.seed}")
     if model.init_scale <= 0:
         problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
 
@@ -190,6 +192,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             problems.append(f"data.kind: expected one of {SYNTH_KINDS}, got {data.kind!r}")
         if data.M < 2:
             problems.append(f"data.M: must be >= 2, got {data.M}")
+        if not 0.0 < data.signal <= 1.0:
+            problems.append(f"data.signal: must lie in (0, 1], got {data.signal}")
     if data.source == "file":
         if not data.path:
             problems.append("data.path: required when data.source is 'file'")

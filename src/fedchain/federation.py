@@ -236,7 +236,6 @@ class RunResult:
     L_start: int
     Q: int
     profile: CKAProfile | None
-    clients: list[ClientProfile]
 
     @property
     def final_accuracy(self) -> float:
@@ -372,11 +371,13 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
         checkpoint_path=None, progress=None) -> RunResult:
     """Execute a federated experiment; see config.ExperimentConfig for knobs.
 
-    Each round walks the frozen part of its steps once over the participants'
-    shards (model.shared_walk) for every local step to read: a speed-up of the
-    simulator only, which no device could share and the memory model does not
-    count.  run rebinds a tensor's .data and never writes a frozen array in
-    place, which is what keeps that walk checkable.
+    Each round walks the frozen part of its steps once over the distinct ids
+    of the participants' shards (model.shared_walk), and every local step of
+    2 or more token rows reads its rows from that walk; a one-row step walks
+    itself (model.forward_through).  That is a speed-up of the simulator
+    only, which no device could share and the memory model does not count.
+    run rebinds a tensor's .data and never writes an array in place, so the
+    round's snapshot holds the arrays themselves and the walk stays checkable.
     """
     from .config import ExperimentConfig  # local import to keep layering acyclic
 
@@ -404,15 +405,12 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
             participants = sample_clients(fed.N, fed.sample_count, r, seed)
             trainable = mark_trainable(stack, window, RUN_MODES[mode].scheme)
             shards = [exp.clients[cid].shard for cid in participants]
-            walk = None
-            # a one-row batch walks on its own: a one-row matmul is not bitwise a row of a k-row one
-            if dataset.seq_len * min(cfg.chain.batch, *map(len, shards)) >= 2:
-                walk = shared_walk(stack, dataset.x[np.concatenate(shards)], window[1])
-            snapshot = {name: t.data.copy() for name, t in trainable.items()}
+            walk = shared_walk(stack, dataset.x[np.concatenate(shards)], window[1])
+            snapshot = {name: t.data for name, t in trainable.items()}
             deltas, sizes, losses = [], [], []
             for cid, shard in zip(participants, shards):
                 for name, t in trainable.items():
-                    t.data = snapshot[name].copy()
+                    t.data = snapshot[name]
                 delta, info = local_update(
                     stack, dataset.x[shard], dataset.y[shard], window, stage_cfg,
                     steps=cfg.chain.local_steps, lr=cfg.chain.lr,
@@ -447,6 +445,5 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
         from .checkpoint import save_checkpoint
 
         save_checkpoint(stack, checkpoint_path)
-    return RunResult(records=records, stack=stack, L_start=L_start, Q=Q,
-                     profile=profile, clients=exp.clients)
+    return RunResult(records=records, stack=stack, L_start=L_start, Q=Q, profile=profile)
 

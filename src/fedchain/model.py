@@ -287,15 +287,17 @@ def _frozen_prefix(stack: ModelStack, upto: int) -> tuple[int, bool]:
 
 class FrozenWalk:
     """Layers 1..n, then layer n + 1's backbone if `backbone`, walked once with no
-    grad over walk_input(stack, x) and read back per batch by `rows`.
+    grad over `ids` and read back per batch by `rows` through `slot`, the pair
+    walk_input(stack, x) gives.
 
     Where walk_input takes distinct ids, any batch of the walked ids reads
     back, since a row of a k >= 2-row walk is bitwise that row of any other:
     `run` shares one walk a round (`shared_walk`) across every local step.
-    Otherwise only x itself reads back.
+    Otherwise (slot None) only the batch ids itself reads back.
     """
 
-    def __init__(self, stack: ModelStack, x, n: int, backbone: bool = False):
+    def __init__(self, stack: ModelStack, ids, slot: np.ndarray | None, n: int,
+                 backbone: bool = False):
         self.n, self.backbone = n, backbone
         self._embed = stack.embed
         walked = [stack.embed.table]
@@ -305,14 +307,10 @@ class FrozenWalk:
             walked += stack.units[n].backbone.params().values()
         self._walked = [(t, t.data) for t in walked]
         with no_grad():
-            ids, index = walk_input(stack, x)
             h = apply_layers(stack, stack.embed(ids), 1, n)
             if backbone:
                 h = stack.units[n].backbone.forward(h)
-        self._h, self._x, self._slot = h, x, None
-        if index is not None:
-            self._slot = np.full(stack.embed.vocab, -1, dtype=np.intp)
-            self._slot[ids[:, 0]] = np.arange(len(ids))
+        self._h, self._ids, self._slot = h, ids, slot
 
     def rows(self, x, n: int, backbone: bool = False) -> Tensor:
         """The [b, t, u] walked hidden state of x, for a caller whose frozen part is (n, backbone).
@@ -327,27 +325,20 @@ class FrozenWalk:
                              f"the requires_grad flags give {(n, backbone)}")
         if any(t.data is not data for t, data in self._walked):
             raise ValueError("a walked tensor changed since the walk")
-        if self._slot is None:
-            if x is not self._x:
-                raise ValueError("a per-row walk reads back only the batch it walked")
-            return self._h
-        index = self._slot[self._embed.validate(x)]
-        if (index < 0).any():
-            raise ValueError("batch holds a token id the walk did not take")
-        return gather_rows(self._h, index)
+        if self._slot is None and x is not self._ids:
+            raise ValueError("a per-row walk reads back only the batch it walked")
+        return gather_rows(self._h, self._slot, self._embed.validate(x))
 
 
 def shared_walk(stack: ModelStack, x, upto: int) -> FrozenWalk | None:
     """The frozen part of forward_through(stack, batch, upto) for every batch of x's
-    ids, walked once, as the requires_grad flags now set it.
+    ids, walked once over x's distinct ids, as the requires_grad flags now set it.
 
     None where the walk would run per row: a stack that mixes tokens, or x
     with fewer than 2 distinct ids.  Nothing is walked then.
     """
-    ids, index = walk_input(stack, x)
-    if index is None:
-        return None
-    return FrozenWalk(stack, ids, *_frozen_prefix(stack, upto))
+    ids, slot = walk_input(stack, x)
+    return None if slot is None else FrozenWalk(stack, ids, slot, *_frozen_prefix(stack, upto))
 
 
 def forward_through(stack: ModelStack, x, upto: int | None = None,
@@ -358,9 +349,10 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
     tape node: layers 1..n before it, and its backbone unless that trains.
     That frozen part is read from `walk` (a shared_walk over ids including
     x's), else from a FrozenWalk of x itself: once per distinct token id on
-    an mlp stack with at least 2 of them, read back per row.  The rest runs
-    per row.  Either way the hidden state and the gradients are bitwise
-    those of a per-row walk.
+    an mlp stack with at least 2 of them, read back per row.  A batch of
+    fewer than 2 token rows always walks itself, since a one-row matmul is
+    not bitwise a row of a k-row one.  The rest runs per row.  Either way
+    the hidden state and the gradients are bitwise those of a per-row walk.
 
     Also returns layers 1..n, whose activations no gradient needs: the
     released-memory trace.
@@ -369,8 +361,8 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
     if not 0 <= upto <= stack.L:
         raise ValueError(f"upto must lie in [0, {stack.L}], got {upto}")
     n, backbone = _frozen_prefix(stack, upto)
-    if walk is None:
-        walk = FrozenWalk(stack, x, n, backbone)
+    if walk is None or np.size(x) < 2:
+        walk = FrozenWalk(stack, *walk_input(stack, x), n, backbone)
     h = walk.rows(x, n, backbone)
     if backbone:
         h = adapter_forward(h, stack.units[n].adapter)
@@ -378,34 +370,40 @@ def forward_through(stack: ModelStack, x, upto: int | None = None,
 
 
 def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
-    """What a no-grad walk of the stack embeds in place of x, and how to read it back.
+    """What a no-grad walk of the stack embeds in place of x, and the id->row map
+    that reads a batch's rows back from it (`gather_rows`).
 
     Eval and CKA profiling walk the whole stack this way, a FrozenWalk the
     frozen layers of a training step.
 
     Where no layer mixes tokens, a token row's hidden state at every layer
     is a function of its id alone.  The walk then embeds each distinct id of
-    x once, as a [k, 1] batch, and the [b, t] index maps every row of x to
-    its id's row (see `gather_rows`).  Otherwise, and on fewer than 2
-    distinct ids, the walk embeds x itself, with no index: a one-row matmul
-    is not bitwise a row of a many-row one, while k >= 2 rows are.
+    x once, as a [k, 1] batch, and the map, one entry per vocab id, holds
+    each walked id's row and -1 for every other id.  Otherwise, and on fewer
+    than 2 distinct ids, the walk embeds x itself, with no map: a one-row
+    matmul is not bitwise a row of a many-row one, while k >= 2 rows are.
     Callers embed the result inside the call to the walk, so that no
     frame holds the embedded input while the layers run.
     """
     if not any(unit.backbone.mixes_tokens for unit in stack.units):
         ids = stack.embed.validate(x)
-        present = np.bincount(ids.ravel())  # np.unique would import numpy.ma
-        distinct = np.flatnonzero(present)
+        distinct = np.flatnonzero(np.bincount(ids.ravel()))  # np.unique would import numpy.ma
         if distinct.size >= 2:
-            slot = np.zeros(present.size, dtype=np.intp)
+            slot = np.full(stack.embed.vocab, -1, dtype=np.intp)
             slot[distinct] = np.arange(distinct.size)
-            return distinct[:, None], slot[ids]
+            return distinct[:, None], slot
     return x, None
 
 
-def gather_rows(h: Tensor, index: np.ndarray | None) -> Tensor:
-    """The [b, t, u] hidden state of every row of x, from a walk of walk_input(stack, x)."""
-    return h if index is None else Tensor(h.data.reshape(-1, h.shape[-1])[index])
+def gather_rows(h: Tensor, slot: np.ndarray | None, x) -> Tensor:
+    """The [b, t, u] hidden state of every row of the token batch x, read through
+    walk_input's map from a walk of its ids; h itself where there is no map."""
+    if slot is None:
+        return h
+    index = slot[x]
+    if (index < 0).any():
+        raise ValueError("batch holds a token id the walk did not take")
+    return Tensor(h.data.reshape(-1, h.shape[-1])[index])
 
 
 def local_loss(stack: ModelStack, hidden: Tensor, layer_idx: int, labels) -> Tensor:
@@ -437,7 +435,7 @@ def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
 
 
 def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
-    h = FrozenWalk(stack, x, stack.L).rows(x, stack.L)
+    h = FrozenWalk(stack, *walk_input(stack, x), stack.L).rows(x, stack.L)
     with no_grad():
         pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())

@@ -126,30 +126,27 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
                    blocks: list[list[int]] | None = None) -> CKAProfile:
     """One-time inference profile of CKA(layer output, embedded input).
 
-    Layers run block by block under the memory budget; only the inter-block
-    hidden state is carried across blocks (transient compute, immediate
-    eviction).  The profile is independent of the chosen partition.  The
-    walk takes each distinct token id once where it can (model.walk_input);
-    the partition and the CKA rows are those of the whole batch.
+    The memory budget splits the layers into blocks (partition_layers, which
+    raises below the one-layer floor), or `blocks` gives them.  Only a
+    layer's hidden state carries to the next, so the walk runs layer by layer
+    whatever the partition, and the profile is independent of it.  The walk
+    takes each distinct token id once where it can (model.walk_input); the
+    partition and the CKA rows are those of the whole batch.
     """
     with no_grad():
-        batch, index = walk_input(stack, batch)
-        h = stack.embed(batch)
-        z0 = _centered(_flat_rows(gather_rows(h, index)))
+        ids, slot = walk_input(stack, batch)
+        h = stack.embed(ids)
+        z0 = _centered(_flat_rows(gather_rows(h, slot, batch)))
         n_rows = z0[0].shape[0]
-        if blocks is None:
-            if mem_budget is None:
-                blocks = [list(range(1, stack.L + 1))]
-            else:
-                blocks = partition_layers(stack, n_rows, mem_budget)
-        if [i for blk in blocks for i in blk] != list(range(1, stack.L + 1)):
+        layers = list(range(1, stack.L + 1))
+        if blocks is None and mem_budget is not None:
+            blocks = partition_layers(stack, n_rows, mem_budget)
+        if blocks is not None and [i for blk in blocks for i in blk] != layers:
             raise ValueError(f"blocks {blocks} do not cover layers 1..{stack.L} in order")
         scores: list[float] = []
-        for blk in blocks:
-            h = Tensor(h.data)  # fresh carried hidden; previous block evicted
-            for i in blk:
-                h = apply_layers(stack, h, i, i)
-                scores.append(_cka_centered(*_centered(_flat_rows(gather_rows(h, index))), *z0))
+        for i in layers:
+            h = apply_layers(stack, h, i, i)
+            scores.append(_cka_centered(*_centered(_flat_rows(gather_rows(h, slot, batch))), *z0))
     return CKAProfile(scores=scores, sample_weight=n_rows)
 
 

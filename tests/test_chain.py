@@ -18,6 +18,7 @@ from fedchain.model import (
     end_to_end_loss,
     forward_through,
     mark_trainable,
+    named_parameters,
 )
 from fedchain.tensor import Tape
 
@@ -190,6 +191,22 @@ def test_zero_learning_rate_gives_zero_delta():
     }
     assert set(delta) == expected_keys
     assert all(np.array_equal(d, np.zeros_like(d)) for d in delta.values())
+
+
+@pytest.mark.parametrize("window, scheme", [((2, 3), "window"), ((1, 4), "all_adapters")])
+def test_local_update_leaves_every_array_it_started_from_unchanged(window, scheme):
+    # every step rebinds a trained tensor's .data, so a caller's snapshot may hold the arrays
+    stack = build_stack(DIMS, seed=8)
+    x, y = _data(8)
+    before = {name: (t.data, t.data.copy()) for name, t in named_parameters(stack).items()}
+    delta, _ = local_update(stack, x, y, window, StageLossConfig(), steps=3, lr=0.5,
+                            batch_size=4, seed=2, scheme=scheme)
+    assert any(d.any() for d in delta.values())
+    after = named_parameters(stack)
+    for name, (array, copy) in before.items():
+        assert array.tobytes() == copy.tobytes(), name
+        if name in delta:
+            assert np.array_equal(delta[name], after[name].data - copy), name
 
 
 def test_baseline_schemes_expose_expected_delta_keys():

@@ -330,6 +330,20 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
             assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "profile", "report-memory"])
+def test_a_bad_seed_or_signal_exits_2_naming_the_field(config_path, tmp_path, capsys, command):
+    for section, key, value in [("model", "seed", -1), ("data", "signal", 0)]:
+        raw = json.loads(config_path.read_text())
+        raw[section][key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}.{key}: must" in capsys.readouterr().err
+    if command != "report-memory":  # which takes no --seed
+        assert main([command, "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_missing_files_exit_4(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nowhere.json")]) == EXIT_IO
     raw = json.loads(config_path.read_text())

@@ -112,6 +112,9 @@ def test_config_field_validation():
         (dict(mode="fedavg"), "mode"),
         (dict(model={"u": 1, "v": 1}), "model.u"),
         (dict(model={"ffn": -4}), "model.ffn"),
+        (dict(model={"seed": -1}), r"model\.seed: must be >= 0, got -1"),
+        (dict(data={"signal": 0}), r"data\.signal: must lie in \(0, 1\], got 0\.0"),
+        (dict(data={"signal": 1.5}), r"data\.signal: must lie in \(0, 1\]"),
         (dict(model={"seed": None}), "model.seed"),
         (dict(model={"ffn": None}), "model.ffn"),
         (dict(data={"M": None}), "data.M"),
@@ -126,6 +129,11 @@ def test_config_field_validation():
     ]:
         with pytest.raises(ConfigError, match=needle):
             parse_config(_raw(**over))
+
+
+def test_only_the_synthetic_source_checks_signal_and_M():
+    parse_config(_raw(data={"source": "file", "path": "d.jsonl", "vocab_path": "v.json",
+                            "signal": 0, "M": 0}))
 
 
 def test_config_budget_per_client_check():

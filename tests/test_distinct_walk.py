@@ -45,10 +45,10 @@ def _per_row(monkeypatch):
 def test_distinct_walk_is_the_per_row_forward_bitwise():
     stack = build_stack(DESK, seed=4)
     x = _tokens(0, 400)
-    ids, index = walk_input(stack, x)
-    assert ids.shape == (50, 1) and index.shape == x.shape
+    ids, slot = walk_input(stack, x)
+    assert ids.shape == (50, 1) and slot.shape == (DESK.vocab,)  # one row per id of the vocab
     with no_grad():
-        got = gather_rows(apply_layers(stack, stack.embed(ids), 1, stack.L), index)
+        got = gather_rows(apply_layers(stack, stack.embed(ids), 1, stack.L), slot, x)
         want, _ = forward_through(stack, x)
         assert np.array_equal(got.data, want.data)
         got_logits = stack.final_head.logits(got).data
@@ -293,6 +293,17 @@ def test_a_one_id_batch_on_the_round_walk_is_the_per_row_step(monkeypatch):
     _assert_step_is_per_row(monkeypatch, stack, one_id, (3, 4), walk=_round_walk(stack, one_id, 4))
 
 
+@pytest.mark.parametrize("window", [(1, 2), (3, 4), (5, 6)], ids=["1-2", "3-4", "5-6"])
+def test_a_one_row_batch_on_the_round_walk_walks_itself(monkeypatch, window):
+    # a one-row matmul is not bitwise a row of a k-row one: the round walk cannot serve it
+    stack = _moved(DESK, 16)
+    mark_trainable(stack, window)
+    walk = shared_walk(stack, _tokens(20, 96), window[1])
+    for token in (0, 7, 49):
+        one_row = np.full((1, 1), token)
+        _assert_step_is_per_row(monkeypatch, stack, one_row, window, walk=walk)
+
+
 def _walked_round():
     stack = _moved(DESK, 13)
     mark_trainable(stack, (3, 4))
@@ -340,7 +351,7 @@ def test_no_shared_walk_where_the_walk_runs_per_row():
     attn = build_stack(StackDims(L=3, u=8, v=2, C=2, kind="attn-lite", vocab=13), seed=1)
     x = _tokens(5, 6, t=4, vocab=13)
     assert shared_walk(attn, x, 3) is None
-    per_row = FrozenWalk(attn, x, 3)  # reads back only the batch it walked
+    per_row = FrozenWalk(attn, *walk_input(attn, x), 3)  # reads back only the batch it walked
     assert per_row.rows(x, 3) is per_row.rows(x, 3)
     with pytest.raises(ValueError, match="only the batch it walked"):
         per_row.rows(x.copy(), 3)
@@ -349,12 +360,13 @@ def test_no_shared_walk_where_the_walk_runs_per_row():
 # ---------------------------------------------------------------- whole runs
 
 
-def _run_cfg(kind="mlp", rounds=4, seq_len=6, batch=16):
+def _run_cfg(kind="mlp", rounds=4, seq_len=6, batch=16, alpha=None):
+    shards = {"partition": "iid"} if alpha is None else {"partition": "dirichlet", "alpha": alpha}
     return parse_config({
         "model": {"L": 4, "u": 8, "v": 3, "kind": kind, "seed": 5},
         "data": {"kind": "cluster-tokens", "M": 160, "seq_len": seq_len, "vocab": 13,
                  "eval_fraction": 0.25},
-        "federation": {"N": 4, "rounds": rounds, "partition": "iid", "sample_count": 3, "Q": 2},
+        "federation": {"N": 4, "rounds": rounds, **shards, "sample_count": 3, "Q": 2},
         "chain": {"lambda": 0.2, "L_start": 1, "lr": 0.5, "local_steps": 2, "batch": batch},
     })
 
@@ -365,19 +377,27 @@ def _run(tmp_path, mode, **cfg):
     return metrics.read_bytes(), {k: t.data for k, t in named_parameters(result.stack).items()}
 
 
-# the last case steps on one token row: a one-row matmul is not bitwise a row of a
-# k-row one, so such a round must walk each step on its own
-RUNS = [(mode, 6, 16) for mode in ("chainfed", "no_gpo", "no_dlct", "linear_probing",
-                                   "full_adapters")] + [("chainfed", 1, 1)]
+# the last two cases step on one token row, which walks itself (a one-row matmul is
+# not bitwise a row of a k-row one): every step, then in rounds that also step on 16
+RUNS = [(mode, 6, 16, None) for mode in ("chainfed", "no_gpo", "no_dlct", "linear_probing",
+                                         "full_adapters")] + [("chainfed", 1, 1, None),
+                                                              ("chainfed", 1, 16, 0.2)]
 
 
-@pytest.mark.parametrize("mode, seq_len, batch", RUNS,
-                         ids=[f"{mode}-{t}x{b}" for mode, t, b in RUNS])
+@pytest.mark.parametrize("mode, seq_len, batch, alpha", RUNS,
+                         ids=[f"{mode}-{t}x{b}" + ("" if a is None else "-dirichlet")
+                              for mode, t, b, a in RUNS])
 def test_a_run_on_round_walks_is_the_run_on_per_step_walks_bitwise(monkeypatch, tmp_path, mode,
-                                                                   seq_len, batch):
-    shared = _run(tmp_path, mode, seq_len=seq_len, batch=batch)
+                                                                   seq_len, batch, alpha):
+    cfg = dict(seq_len=seq_len, batch=batch, alpha=alpha)
+    if alpha is not None:  # some round samples a one-row shard next to a larger one
+        exp = federation.setup(_run_cfg(**cfg))
+        rounds = [sorted(len(exp.clients[c].shard) for c in federation.sample_clients(4, 3, r, 5))
+                  for r in range(1, 5)]
+        assert any(sizes[0] == 1 < sizes[-1] for sizes in rounds)
+    shared = _run(tmp_path, mode, **cfg)
     monkeypatch.setattr(federation, "shared_walk", lambda *args: None)
-    own = _run(tmp_path, mode, seq_len=seq_len, batch=batch)
+    own = _run(tmp_path, mode, **cfg)
     assert shared[0] == own[0]
     assert shared[1].keys() == own[1].keys()
     for name, data in own[1].items():
