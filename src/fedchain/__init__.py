@@ -46,7 +46,6 @@ from .model import (
     AdapterParams,
     ModelStack,
     StackDims,
-    adapter_forward,
     aux_branch_forward,
     backbone_fingerprint,
     build_stack,

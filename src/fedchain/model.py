@@ -37,6 +37,13 @@ class AdapterParams:
     down: Tensor  # [u, v]
     up: Tensor  # [v, u]
 
+    def params(self) -> dict[str, Tensor]:
+        return {"down": self.down, "up": self.up}
+
+    def forward(self, h: Tensor) -> Tensor:
+        """The adapter as one tape node (see tensor.adapter_chain)."""
+        return adapter_chain(h, [(self.down, self.up)])
+
 
 def init_adapter(u: int, v: int, seed) -> AdapterParams:
     """Identity-start init: down ~ U(+-1/sqrt(u)), up = 0."""
@@ -47,11 +54,6 @@ def init_adapter(u: int, v: int, seed) -> AdapterParams:
     down = Tensor(rng.uniform(-bound, bound, size=(u, v)))
     up = Tensor(np.zeros((v, u)))
     return AdapterParams(down, up)
-
-
-def adapter_forward(h: Tensor, adapter: AdapterParams) -> Tensor:
-    """The adapter as one tape node (see tensor.adapter_chain)."""
-    return adapter_chain(h, [(adapter.down, adapter.up)])
 
 
 def _uniform(rng, shape, fan_in, scale):
@@ -232,6 +234,8 @@ class ModelStack:
         self.embed = embed
         self.units = units
         self.final_head = final_head
+        # the stack as one sequence: backbone 1, adapter 1, ..., backbone L, adapter L
+        self.modules = tuple(m for unit in units for m in (unit.backbone, unit.adapter))
 
     @property
     def L(self) -> int:
@@ -258,37 +262,35 @@ def build_stack(dims: StackDims, *, seed: int = 0, init_scale: float = 1.0) -> M
     return ModelStack(dims, embed, units, final_head)
 
 
-def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
-    """Layers lo..hi, each as backbone-then-adapter, on h (the output of layer lo-1).
-
-    The one walk of the stack: training, eval and CKA profiling all run
-    their layers through it.  lo = hi + 1 applies nothing.
-    """
-    if not 1 <= lo <= hi + 1 <= stack.L + 1:
-        raise ValueError(f"layers {lo}..{hi} not within 1..{stack.L}")
-    for unit in stack.units[lo - 1:hi]:
-        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+def _apply(stack: ModelStack, h: Tensor, start: int, stop: int) -> Tensor:
+    """Modules start..stop - 1 of stack.modules on h, the output of module start - 1."""
+    for module in stack.modules[start:stop]:
+        h = module.forward(h)
     return h
 
 
-def _frozen_prefix(stack: ModelStack, upto: int) -> tuple[int, bool]:
-    """(n, backbone): no parameter of layers 1..n requires grad, and backbone
-    says layer n + 1's backbone has none either while its adapter does.
+def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
+    """Layers lo..hi, each as backbone-then-adapter, on h (the output of layer lo-1).
 
-    n = upto when nothing in layers 1..upto requires grad (mark_trainable sets the flags).
+    Training, eval and CKA profiling all run their modules through _apply.
+    lo = hi + 1 applies nothing.
     """
-    for n, unit in enumerate(stack.units[:upto]):
-        if any(t.requires_grad for t in unit.backbone.params().values()):
-            return n, False
-        if unit.adapter.down.requires_grad or unit.adapter.up.requires_grad:
-            return n, True
-    return upto, False
+    if not 1 <= lo <= hi + 1 <= stack.L + 1:
+        raise ValueError(f"layers {lo}..{hi} not within 1..{stack.L}")
+    return _apply(stack, h, 2 * (lo - 1), 2 * hi)
+
+
+def _frozen_depth(stack: ModelStack, upto: int) -> int:
+    """The number of leading modules of layers 1..upto with no grad-requiring
+    parameter (mark_trainable sets the flags): 2 * upto when none has one."""
+    modules = stack.modules[:2 * upto]
+    return next((depth for depth, module in enumerate(modules)
+                 if any(t.requires_grad for t in module.params().values())), len(modules))
 
 
 class FrozenWalk:
-    """Layers 1..n, then layer n + 1's backbone if `backbone`, walked once with no
-    grad over `ids` and read back per batch by `rows` through `slot`, the pair
-    walk_input(stack, x) gives.
+    """The first `depth` modules, walked once with no grad over `ids` and read
+    back per batch by `rows` through `slot`, the pair walk_input(stack, x) gives.
 
     Where walk_input takes distinct ids, any batch of the walked ids reads
     back, since a row of a k >= 2-row walk is bitwise that row of any other:
@@ -296,33 +298,27 @@ class FrozenWalk:
     Otherwise (slot None) only the batch ids itself reads back.
     """
 
-    def __init__(self, stack: ModelStack, ids, slot: np.ndarray | None, n: int,
-                 backbone: bool = False):
-        self.n, self.backbone = n, backbone
+    def __init__(self, stack: ModelStack, ids, slot: np.ndarray | None, depth: int):
+        self.depth = depth
         self._embed = stack.embed
-        walked = [stack.embed.table]
-        for unit in stack.units[:n]:
-            walked += [*unit.backbone.params().values(), unit.adapter.down, unit.adapter.up]
-        if backbone:
-            walked += stack.units[n].backbone.params().values()
+        walked = [stack.embed.table, *(t for module in stack.modules[:depth]
+                                       for t in module.params().values())]
         self._walked = [(t, t.data) for t in walked]
         with no_grad():
-            h = apply_layers(stack, stack.embed(ids), 1, n)
-            if backbone:
-                h = stack.units[n].backbone.forward(h)
-        self._h, self._ids, self._slot = h, ids, slot
+            self._h = _apply(stack, stack.embed(ids), 0, depth)
+        self._ids, self._slot = ids, slot
 
-    def rows(self, x, n: int, backbone: bool = False) -> Tensor:
-        """The [b, t, u] walked hidden state of x, for a caller whose frozen part is (n, backbone).
+    def rows(self, x, depth: int) -> Tensor:
+        """The [b, t, u] walked hidden state of x, for a caller whose frozen depth is `depth`.
 
-        Raises ValueError, and never walks instead, if (n, backbone) is not the
+        Raises ValueError, and never walks instead, if `depth` is not the
         walk's, if x holds an id the walk did not take, or if a walked tensor's
         .data is not the array the walk read (`run` rebinds a tensor's .data and
         never writes a frozen array in place, so `is` finds any change).
         """
-        if (n, backbone) != (self.n, self.backbone):
-            raise ValueError(f"walk covers (n, backbone) = {(self.n, self.backbone)}, "
-                             f"the requires_grad flags give {(n, backbone)}")
+        if depth != self.depth:
+            raise ValueError(f"walk covers {self.depth} modules, "
+                             f"the requires_grad flags give {depth}")
         if any(t.data is not data for t, data in self._walked):
             raise ValueError("a walked tensor changed since the walk")
         if self._slot is None and x is not self._ids:
@@ -334,39 +330,34 @@ def shared_walk(stack: ModelStack, x, upto: int) -> FrozenWalk | None:
     """The frozen part of forward_through(stack, batch, upto) for every batch of x's
     ids, walked once over x's distinct ids, as the requires_grad flags now set it.
 
-    None where the walk would run per row: a stack that mixes tokens, or x
-    with fewer than 2 distinct ids.  Nothing is walked then.
+    None where walk_input walks per row: a stack that mixes tokens, or x of
+    fewer than 2 token rows.  Nothing is walked then.
     """
     ids, slot = walk_input(stack, x)
-    return None if slot is None else FrozenWalk(stack, ids, slot, *_frozen_prefix(stack, upto))
+    return None if slot is None else FrozenWalk(stack, ids, slot, _frozen_depth(stack, upto))
 
 
 def forward_through(stack: ModelStack, x, upto: int | None = None,
                     walk: FrozenWalk | None = None) -> tuple[Tensor, list[int]]:
     """Apply layers 1..upto, each as backbone-then-adapter.
 
-    Nothing below the first layer with a grad-requiring parameter records a
-    tape node: layers 1..n before it, and its backbone unless that trains.
-    That frozen part is read from `walk` (a shared_walk over ids including
-    x's), else from a FrozenWalk of x itself: once per distinct token id on
-    an mlp stack with at least 2 of them, read back per row.  A batch of
-    fewer than 2 token rows always walks itself, since a one-row matmul is
-    not bitwise a row of a k-row one.  The rest runs per row.  Either way
-    the hidden state and the gradients are bitwise those of a per-row walk.
+    The modules below the first one with a grad-requiring parameter record no
+    tape node.  That frozen part is read from `walk` (a shared_walk over ids
+    including x's), else from a FrozenWalk of x itself.  A batch of fewer
+    than 2 token rows always walks itself, since a one-row matmul is not
+    bitwise a row of a k-row one.  The rest runs per row.  Either way the
+    hidden state and the gradients are bitwise those of a per-row walk.
 
-    Also returns layers 1..n, whose activations no gradient needs: the
-    released-memory trace.
+    Also returns the layers whose backbone and adapter are both frozen, whose
+    activations no gradient needs: the released-memory trace.
     """
     upto = stack.L if upto is None else upto
     if not 0 <= upto <= stack.L:
         raise ValueError(f"upto must lie in [0, {stack.L}], got {upto}")
-    n, backbone = _frozen_prefix(stack, upto)
+    depth = _frozen_depth(stack, upto)
     if walk is None or np.size(x) < 2:
-        walk = FrozenWalk(stack, *walk_input(stack, x), n, backbone)
-    h = walk.rows(x, n, backbone)
-    if backbone:
-        h = adapter_forward(h, stack.units[n].adapter)
-    return apply_layers(stack, h, n + backbone + 1, upto), list(range(1, n + 1))
+        walk = FrozenWalk(stack, *walk_input(stack, x), depth)
+    return _apply(stack, walk.rows(x, depth), depth, 2 * upto), list(range(1, depth // 2 + 1))
 
 
 def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
@@ -374,24 +365,24 @@ def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
     that reads a batch's rows back from it (`gather_rows`).
 
     Eval and CKA profiling walk the whole stack this way, a FrozenWalk the
-    frozen layers of a training step.
+    frozen modules of a training step.
 
     Where no layer mixes tokens, a token row's hidden state at every layer
     is a function of its id alone.  The walk then embeds each distinct id of
-    x once, as a [k, 1] batch, and the map, one entry per vocab id, holds
-    each walked id's row and -1 for every other id.  Otherwise, and on fewer
-    than 2 distinct ids, the walk embeds x itself, with no map: a one-row
-    matmul is not bitwise a row of a many-row one, while k >= 2 rows are.
-    Callers embed the result inside the call to the walk, so that no
-    frame holds the embedded input while the layers run.
+    x once, as a [k, 1] batch (a single id twice, as two identical rows), and
+    the map, one entry per vocab id, holds each walked id's row and -1 for
+    every other id: a row of a walk of k >= 2 rows is bitwise that row of any
+    other.  A stack that mixes tokens, and x of fewer than 2 token rows, walk
+    x itself, with no map: a one-row matmul is not bitwise a row of a
+    many-row one.  Callers embed the result inside the call to the walk, so
+    that no frame holds the embedded input while the layers run.
     """
-    if not any(unit.backbone.mixes_tokens for unit in stack.units):
+    if np.size(x) >= 2 and not any(unit.backbone.mixes_tokens for unit in stack.units):
         ids = stack.embed.validate(x)
         distinct = np.flatnonzero(np.bincount(ids.ravel()))  # np.unique would import numpy.ma
-        if distinct.size >= 2:
-            slot = np.full(stack.embed.vocab, -1, dtype=np.intp)
-            slot[distinct] = np.arange(distinct.size)
-            return distinct[:, None], slot
+        slot = np.full(stack.embed.vocab, -1, dtype=np.intp)
+        slot[distinct] = np.arange(distinct.size)
+        return (distinct if distinct.size > 1 else distinct.repeat(2))[:, None], slot
     return x, None
 
 
@@ -435,7 +426,7 @@ def end_to_end_loss(stack: ModelStack, hidden: Tensor, labels) -> Tensor:
 
 
 def evaluate_accuracy(stack: ModelStack, x, labels) -> float:
-    h = FrozenWalk(stack, *walk_input(stack, x), stack.L).rows(x, stack.L)
+    h = FrozenWalk(stack, *walk_input(stack, x), 2 * stack.L).rows(x, 2 * stack.L)
     with no_grad():
         pred = stack.final_head.logits(h).data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())

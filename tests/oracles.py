@@ -171,8 +171,6 @@ def forward_through_per_row(stack, x, upto=None, walk=None):
     adapter, on every row of x, frozen or not.  The released layers are those
     below the first layer with a grad-requiring backbone or adapter tensor.
     A shared walk is ignored: every row is walked here anyway."""
-    from fedchain.model import adapter_forward
-
     upto = stack.L if upto is None else upto
     h = stack.embed(x)
     releasable, frozen = [], True
@@ -181,5 +179,5 @@ def forward_through_per_row(stack, x, upto=None, walk=None):
         frozen = frozen and not any(t.requires_grad for t in tensors)
         if frozen:
             releasable.append(i)
-        h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+        h = unit.adapter.forward(unit.backbone.forward(h))
     return h, releasable

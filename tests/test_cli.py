@@ -341,7 +341,7 @@ def test_a_bad_seed_or_signal_exits_2_naming_the_field(config_path, tmp_path, ca
         assert f"{section}.{key}: must" in capsys.readouterr().err
     if command != "report-memory":  # which takes no --seed
         assert main([command, "--config", str(config_path), "--seed", "-1"]) == EXIT_CONFIG
-        assert "--seed: must be >= 0" in capsys.readouterr().err
+        assert "model.seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_missing_files_exit_4(config_path, tmp_path, capsys):

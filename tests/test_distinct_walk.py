@@ -5,7 +5,7 @@ round for all its steps."""
 import numpy as np
 import pytest
 
-from fedchain import chain, federation
+from fedchain import chain, federation, similarity
 from fedchain.chain import StageLossConfig, WindowSchedule, stage_loss
 from fedchain.config import parse_config
 from fedchain.model import (
@@ -82,15 +82,42 @@ def test_distinct_profile_is_the_per_row_profile_bitwise(monkeypatch, dims, spli
     assert distinct.sample_weight == per_row.sample_weight == batch.size
 
 
-def test_one_distinct_id_walks_per_row():
-    stack = build_stack(DESK, seed=2)
+def test_one_distinct_id_walks_two_rows_bitwise_the_per_row_walk(monkeypatch):
+    stack = _moved(DESK, 2)
     x = np.full((3, 16), 7)
-    ids, index = walk_input(stack, x)
-    assert index is None and ids is x
-    with no_grad():
-        want, _ = forward_through(stack, x)
-    pred = stack.final_head.logits(want).data.argmax(axis=1)
-    assert evaluate_accuracy(stack, x, pred) == 1.0
+    ids, slot = walk_input(stack, x)
+    assert ids.tolist() == [[7], [7]] and slot[7] == 0
+    pooled, profiled = [], []  # eval's final hidden state, profiling's per-layer rows
+    logits = stack.final_head.logits
+
+    def head(h):
+        pooled.append(h.data)
+        return logits(h)
+
+    def scored(ci, self_i, cj, self_j):  # one id's rows have no spread: record, do not score
+        profiled.append(ci)
+        return 0.0
+
+    stack.final_head.logits = head
+    monkeypatch.setattr(similarity, "_cka_centered", scored)
+
+    def walks():
+        with no_grad():
+            h, _ = forward_through(stack, x)
+        evaluate_accuracy(stack, x, np.zeros(len(x), dtype=int))
+        profile_layers(stack, x)
+        return h.data
+
+    seen = _rows_seen(monkeypatch, stack)
+    got = walks()
+    assert seen == {i: [2, 2, 2] for i in seen}  # forward_through, eval and profiling
+    _per_row(monkeypatch)
+    want = walks()
+    assert np.array_equal(got, want)
+    assert len(pooled) == 2 and np.array_equal(*pooled)
+    assert len(profiled) == 2 * stack.L
+    for layer, (distinct, per_row) in enumerate(zip(profiled[:stack.L], profiled[stack.L:]), 1):
+        assert np.array_equal(distinct, per_row), layer
 
 
 def test_attn_lite_walks_per_row():
@@ -282,7 +309,7 @@ def test_a_step_on_the_round_walk_is_the_per_row_step_bitwise(monkeypatch, schem
     seen = _rows_seen(monkeypatch, stack)
     with Tape():
         forward_through(stack, x, upto=window[1], walk=walk)
-    frozen = walk.n + walk.backbone
+    frozen = (walk.depth + 1) // 2  # the layers whose backbone the walk ran
     assert seen == {i: [] if i <= frozen else [x.size] if i <= window[1] else [] for i in seen}
 
 
@@ -313,12 +340,12 @@ def _walked_round():
 
 def test_the_round_walk_raises_when_the_frozen_part_moved():
     stack, x, walk = _walked_round()
-    assert (walk.n, walk.backbone) == (2, True)
+    assert walk.depth == 5  # backbones and adapters of layers 1 and 2, then backbone 3
     mark_trainable(stack, (2, 3))
     with pytest.raises(ValueError, match="requires_grad flags give"):
         forward_through(stack, x, upto=3, walk=walk)
     mark_trainable(stack, (3, 4))
-    stack.units[2].backbone.w1.requires_grad = True  # (2, False): layer 3's backbone trains
+    stack.units[2].backbone.w1.requires_grad = True  # depth 4: layer 3's backbone trains
     with pytest.raises(ValueError, match="requires_grad flags give"):
         forward_through(stack, x, upto=4, walk=walk)
 
@@ -347,7 +374,8 @@ def test_the_round_walk_raises_once_a_walked_tensor_is_rebound(name):
 def test_no_shared_walk_where_the_walk_runs_per_row():
     stack = _moved(DESK, 15)
     mark_trainable(stack, (3, 4))
-    assert shared_walk(stack, np.full((5, 16), 7), 4) is None
+    assert shared_walk(stack, np.full((5, 16), 7), 4).depth == 5  # one id, walked as two rows
+    assert shared_walk(stack, np.full((1, 1), 7), 4) is None
     attn = build_stack(StackDims(L=3, u=8, v=2, C=2, kind="attn-lite", vocab=13), seed=1)
     x = _tokens(5, 6, t=4, vocab=13)
     assert shared_walk(attn, x, 3) is None

@@ -9,7 +9,6 @@ from fedchain.model import (
     AdapterParams,
     StackDims,
     TokenEmbedding,
-    adapter_forward,
     aux_branch_forward,
     backbone_fingerprint,
     build_stack,
@@ -50,7 +49,7 @@ def test_adapter_init_rejects_bad_bottleneck():
 def test_adapter_scalar_arithmetic():
     # h=1, down=0.5, up=2: 1 + gelu(1*0.5)*2, with gelu(0.5) from a 60-digit evaluation
     ad = AdapterParams(Tensor([[0.5]]), Tensor([[2.0]]))
-    out = adapter_forward(Tensor([[1.0]]), ad)
+    out = ad.forward(Tensor([[1.0]]))
     assert out.data[0, 0] == pytest.approx(1.0 + 0.3457140098251439 * 2.0, abs=1e-15)
 
 
@@ -59,14 +58,14 @@ def test_fresh_adapter_is_bitwise_identity():
     ad = init_adapter(u=8, v=3, seed=4)
     for shape in [(5, 8), (2, 7, 8)]:
         h = Tensor(rng.normal(size=shape))
-        out = adapter_forward(h, ad)
+        out = ad.forward(h)
         assert out.data.tobytes() == h.data.tobytes()
 
 
 def test_adapter_width_mismatch_raises():
     ad = init_adapter(u=8, v=3, seed=0)
     with pytest.raises(ShapeMismatch):
-        adapter_forward(Tensor(np.zeros((2, 5))), ad)
+        ad.forward(Tensor(np.zeros((2, 5))))
 
 
 # ---------------------------------------------------------------- stack forward
@@ -91,7 +90,7 @@ def test_forward_split_invariance_at_every_point():
         h, _ = forward_through(stack, x, upto=split)
         for i in range(split + 1, stack.L + 1):
             unit = stack.units[i - 1]
-            h = adapter_forward(unit.backbone.forward(h), unit.adapter)
+            h = unit.adapter.forward(unit.backbone.forward(h))
         assert np.allclose(h.data, full.data, atol=1e-12, rtol=0)
 
 
