@@ -16,18 +16,14 @@ from .tensor import (
     ShapeMismatch,
     Tensor,
     adapter_chain,
-    add,
+    attention_block,
     bias_add,
-    gelu,
-    layer_norm,
     matmul,
     mean,
-    mul,
+    mlp_block,
     no_grad,
     reshape,
-    softmax,
     softmax_cross_entropy,
-    swap_last2,
 )
 
 @dataclass
@@ -62,7 +58,12 @@ def _uniform(rng, shape, fan_in, scale):
 
 
 class MlpLayer:
-    """Pre-norm residual feed-forward block: x + W2 gelu(W1 LN(x) + b1) + b2."""
+    """Pre-norm residual feed-forward block: x + W2 gelu(W1 LN(x) + b1) + b2.
+
+    The block records one tape node (tensor.mlp_block).  A backbone never
+    trains, so for n rows the node keeps only what the gradient at its input
+    reads: layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, ffn].
+    """
 
     kind = "mlp"
     mixes_tokens = False  # each [u] row maps on its own
@@ -87,10 +88,8 @@ class MlpLayer:
         }
 
     def rows(self, x2: Tensor) -> Tensor:
-        """The block on [n, u] rows."""
-        z = layer_norm(x2, self.ln_gain, self.ln_bias)
-        hid = gelu(bias_add(matmul(z, self.w1), self.b1))
-        return add(x2, bias_add(matmul(hid, self.w2), self.b2))
+        """The block on [n, u] rows, as one tape node (see tensor.mlp_block)."""
+        return mlp_block(x2, self.ln_gain, self.ln_bias, self.w1, self.b1, self.w2, self.b2)
 
     def forward(self, x: Tensor) -> Tensor:
         b, t, u = x.shape
@@ -98,7 +97,13 @@ class MlpLayer:
 
 
 class AttnLiteLayer:
-    """Single-head pre-norm residual self-attention, then the MlpLayer block."""
+    """Single-head pre-norm residual self-attention, then the MlpLayer block.
+
+    The attention half records one tape node (tensor.attention_block).  For
+    b rows of t tokens it keeps layer norm's xhat [b*t, u] and inv [b*t, 1],
+    q, k^T and v ([b*t, u] each) and the softmax output [b, t, t]; the MLP
+    block's node follows.
+    """
 
     kind = "attn-lite"
     mixes_tokens = True
@@ -128,16 +133,8 @@ class AttnLiteLayer:
         }
 
     def forward(self, x: Tensor) -> Tensor:
-        b, t, u = x.shape
-        x2 = reshape(x, (b * t, u))
-        z = layer_norm(x2, self.ln1_gain, self.ln1_bias)
-        q = reshape(matmul(z, self.wq), (b, t, u))
-        k = reshape(matmul(z, self.wk), (b, t, u))
-        v = reshape(matmul(z, self.wv), (b, t, u))
-        scores = mul(matmul(q, swap_last2(k)), 1.0 / math.sqrt(u))
-        ctx = matmul(softmax(scores), v)
-        attn = matmul(reshape(ctx, (b * t, u)), self.wo)
-        return reshape(self.mlp.rows(add(x2, attn)), (b, t, u))
+        return self.mlp.forward(attention_block(x, self.ln1_gain, self.ln1_bias,
+                                                self.wq, self.wk, self.wv, self.wo))
 
 
 BACKBONE_KINDS = {"mlp": MlpLayer, "attn-lite": AttnLiteLayer}

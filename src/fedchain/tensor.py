@@ -7,10 +7,13 @@ arrays are dropped once its gradient function has run, so a tape can be
 replayed only once.  Only leaves, the tensors no node on the tape produced,
 receive ``.grad``; frozen tensors (``requires_grad=False``) never do.
 
-A node saves only what its backward needs.  ``adapter_chain`` records a
-whole run of residual bottleneck gelu adapters as one node that keeps, per
-adapter, gelu's slope on the v-wide rows, and the u-wide input or the
-activation only when that adapter's own weights train.
+A node saves only what its backward needs.  Three fused ops each record one
+node in place of the per-op composition they are bitwise equal to:
+``adapter_chain`` a whole run of residual bottleneck gelu adapters, keeping
+per adapter gelu's slope on the v-wide rows; ``mlp_block`` and
+``attention_block`` a backbone layer's feed-forward and attention halves,
+keeping the planes their input gradient needs.  Each keeps a weight's
+forward operand only when that weight requires grad.
 """
 from __future__ import annotations
 
@@ -400,36 +403,221 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match last axis of {x.shape}"
         )
-    xd = x.data
-    xhat = xd - xd.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LN_EPS)
-    xhat *= inv
+    xhat, inv = _normalize(x.data)
 
     def grad_fn(g):
-        dxhat = g * gain.data
-        gx = None
-        if x.requires_grad:
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
-        ggain = (g * xhat).reshape(-1, d).sum(axis=0) if gain.requires_grad else None
-        gbias = g.reshape(-1, d).sum(axis=0) if bias.requires_grad else None
-        return gx, ggain, gbias
+        return _layer_norm_grads(g, gain.data, xhat, inv,
+                                 (x.requires_grad, gain.requires_grad, bias.requires_grad))
 
     return _emit(xhat * gain.data + bias.data, (x, gain, bias), grad_fn)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    xd = x.data
+# Layer norm and softmax as array functions: the one definition behind the ops and the
+# fused backbone blocks, which must be bitwise their per-op composition.
+
+def _normalize(xd: np.ndarray):
+    """Layer norm's xhat, centred and scaled over the last axis, and inv = 1 / std."""
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    return xhat, inv
+
+
+def _layer_norm_grads(g, gain, xhat, inv, wanted):
+    """The adjoints of layer norm's (x, gain, bias) that `wanted` flags, else None."""
+    d = g.shape[-1]
+    gx = None
+    if wanted[0]:
+        dxhat = g * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (dxhat - m1 - xhat * m2)
+    ggain = (g * xhat).reshape(-1, d).sum(axis=0) if wanted[1] else None
+    gbias = g.reshape(-1, d).sum(axis=0) if wanted[2] else None
+    return gx, ggain, gbias
+
+
+def _softmax(xd: np.ndarray) -> np.ndarray:
     shifted = xd - xd.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    s = _softmax(x.data)
+    return _emit(s, (x,), lambda g: (_softmax_grad(g, s),))
+
+
+def _check_params(op: str, params) -> None:
+    """Raise ShapeMismatch unless each (name, tensor, shape) tensor has its shape."""
+    for name, t, shape in params:
+        if t.shape != shape:
+            raise ShapeMismatch(f"{op}: {name} {t.shape} does not fit, want {shape}")
+
+
+def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
+              w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm residual feed-forward block x + gelu(LN(x) @ w1 + b1) @ w2 + b2 on
+    [n, u] rows, as one op.
+
+    The one tape node keeps what the wanted gradients read: for the input's,
+    layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, f]; LN(x)
+    only when w1 requires grad and the gelu output only when w2 does.
+    Values and gradients are bitwise those of the
+    per-op composition add(x, bias_add(matmul(gelu(bias_add(matmul(
+    layer_norm(x, ln_gain, ln_bias), w1), b1)), w2), b2)).
+    """
+    if x.ndim != 2:
+        raise ShapeMismatch(f"mlp_block: x must be [n, u] rows, got {x.shape}")
+    u, f = x.shape[1], (w1.shape[-1] if w1.ndim else 0)
+    _check_params("mlp_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
+                                ("w1", w1, (u, f)), ("b1", b1, (f,)), ("w2", w2, (f, u)),
+                                ("b2", b2, (u,))])
+    inputs = (x, ln_gain, ln_bias, w1, b1, w2, b2)
+    recording = _recorder(inputs) is not None
+    wanted = [recording and a.requires_grad for a in inputs]
+    to_z = any(wanted[:3])  # a gradient is wanted at LN(x)
+    to_pre = to_z or wanted[3] or wanted[4]  # ... and at gelu's input
+    xd = x.data
+    xhat, inv = _normalize(xd)
+    z = xhat * ln_gain.data + ln_bias.data
+    _check_finite(z)
+    pre = z @ w1.data
+    _check_finite(pre)
+    pre += b1.data  # in place on a fresh array; addition commutes bitwise
+    _check_finite(pre)
+    hid, slope = _gelu(pre, to_pre)
+    _check_finite(hid)
+    out = hid @ w2.data
+    _check_finite(out)
+    out += b2.data
+    _check_finite(out)
+    out += xd
+    xhat = xhat if wanted[0] or wanted[1] else None
+    inv = inv if wanted[0] else None
+    z = z if wanted[3] else None
+    hid = hid if wanted[5] else None
 
     def grad_fn(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
+        grads: list[np.ndarray | None] = [None] * len(inputs)
+        if wanted[6]:
+            grads[6] = g.sum(axis=0)
+        if hid is not None:
+            grads[5] = _swapT(hid) @ g
+        if not to_pre:
+            return grads
+        gpre = g @ _swapT(w2.data)
+        gpre *= slope
+        if wanted[4]:
+            grads[4] = gpre.sum(axis=0)
+        if z is not None:
+            grads[3] = _swapT(z) @ gpre
+        if to_z:
+            gx, grads[1], grads[2] = _layer_norm_grads(gpre @ _swapT(w1.data), ln_gain.data,
+                                                       xhat, inv, wanted[:3])
+            if gx is not None:
+                grads[0] = g + gx  # the residual's adjoint, then layer norm's
+        return grads
 
-    return _emit(s, (x,), grad_fn)
+    return _emit(out, inputs, grad_fn)
+
+
+def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk: Tensor,
+                    wv: Tensor, wo: Tensor) -> Tensor:
+    """Single-head pre-norm residual self-attention on [b, t, u], as one op:
+    x + softmax(q k^T / sqrt(u)) v @ wo, with q, k, v = LN(x) @ wq, wk, wv.
+
+    The one tape node keeps what the wanted gradients read: for the input's,
+    layer norm's xhat [b*t, u] and inv [b*t, 1], q, a contiguous k^T, v and
+    the softmax output [b, t, t]; LN(x) only when wq, wk or wv requires grad
+    and the attention context only when wo does.
+    Values and gradients are bitwise those of the per-op composition: with
+    x2 = reshape(x, (b*t, u)), z = layer_norm(x2, ln_gain, ln_bias) and each
+    of q, k, v = reshape(matmul(z, w), (b, t, u)), it is reshape(add(x2,
+    matmul(reshape(matmul(softmax(mul(matmul(q, swap_last2(k)), 1 / sqrt(u))),
+    v), (b*t, u)), wo)), (b, t, u)).
+    """
+    if x.ndim != 3:
+        raise ShapeMismatch(f"attention_block: x must be [b, t, u], got {x.shape}")
+    b, t, u = x.shape
+    _check_params("attention_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
+                                      ("wq", wq, (u, u)), ("wk", wk, (u, u)), ("wv", wv, (u, u)),
+                                      ("wo", wo, (u, u))])
+    inputs = (x, ln_gain, ln_bias, wq, wk, wv, wo)
+    recording = _recorder(inputs) is not None
+    wanted = [recording and a.requires_grad for a in inputs]
+    to_z = any(wanted[:3])  # a gradient is wanted at LN(x)
+    to_q, to_k, to_v = to_z or wanted[3], to_z or wanted[4], to_z or wanted[5]
+    to_s = to_q or to_k  # ... and at the softmax output
+    xd = x.data.reshape(b * t, u)
+    xhat, inv = _normalize(xd)
+    z = xhat * ln_gain.data + ln_bias.data
+    _check_finite(z)
+    q = z @ wq.data
+    _check_finite(q)
+    k = z @ wk.data
+    _check_finite(k)
+    v = z @ wv.data
+    _check_finite(v)
+    q, v = q.reshape(b, t, u), v.reshape(b, t, u)
+    kT = np.ascontiguousarray(_swapT(k.reshape(b, t, u)))  # the copy swap_last2's Tensor makes
+    scores = q @ kT
+    _check_finite(scores)
+    scale = 1.0 / math.sqrt(u)
+    scores *= scale
+    _check_finite(scores)
+    s = _softmax(scores)
+    _check_finite(s)
+    ctx = (s @ v).reshape(b * t, u)
+    _check_finite(ctx)
+    out = ctx @ wo.data
+    _check_finite(out)
+    out += xd
+    xhat = xhat if wanted[0] or wanted[1] else None
+    inv = inv if wanted[0] else None
+    z = z if wanted[3] or wanted[4] or wanted[5] else None
+    q = q if to_k else None
+    kT = kT if to_q else None
+    v = v if to_s else None
+    s = s if to_s or to_v else None
+    ctx = ctx if wanted[6] else None
+
+    def grad_fn(g):
+        g = g.reshape(b * t, u)
+        grads: list[np.ndarray | None] = [None] * len(inputs)
+        if ctx is not None:
+            grads[6] = _swapT(ctx) @ g
+        if not (to_s or to_v):
+            return grads
+        gctx = (g @ _swapT(wo.data)).reshape(b, t, u)
+        gv = _swapT(s) @ gctx if to_v else None
+        gq = gk = None
+        if to_s:
+            gscores = _softmax_grad(gctx @ _swapT(v), s) * scale
+            gq = gscores @ _swapT(kT) if to_q else None
+            gk = _swapT(_swapT(q) @ gscores) if to_k else None
+        gz = None
+        for i, gw in ((5, gv), (4, gk), (3, gq)):  # z's adjoint sums v's, k's, q's in that order
+            if gw is None:
+                continue
+            gw = gw.reshape(b * t, u)
+            if wanted[i]:
+                grads[i] = _swapT(z) @ gw
+            if to_z:
+                part = gw @ _swapT(inputs[i].data)
+                gz = part if gz is None else gz + part
+        if to_z:
+            gx, grads[1], grads[2] = _layer_norm_grads(gz, ln_gain.data, xhat, inv, wanted[:3])
+            if gx is not None:
+                grads[0] = (g + gx).reshape(b, t, u)  # the residual's adjoint, then layer norm's
+        return grads
+
+    return _emit(out.reshape(b, t, u), inputs, grad_fn)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

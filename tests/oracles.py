@@ -2,11 +2,27 @@
 
 Everything here deliberately avoids the package's own code paths: naive
 triple loops, explicit double sums, textbook constructions, hand-written
-numpy training loops.
+numpy training loops.  The one exception is the per-op backbone blocks,
+composed from fedchain.tensor's primitive ops, which the fused one-node
+blocks must match bit for bit.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from fedchain.tensor import (
+    add,
+    bias_add,
+    gelu,
+    layer_norm,
+    matmul,
+    mul,
+    reshape,
+    softmax,
+    swap_last2,
+)
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,3 +197,21 @@ def forward_through_per_row(stack, x, upto=None, walk=None):
             releasable.append(i)
         h = unit.adapter.forward(unit.backbone.forward(h))
     return h, releasable
+
+
+def mlp_block_per_op(x, ln_gain, ln_bias, w1, b1, w2, b2):
+    """fedchain.tensor.mlp_block as one primitive op per step, on [n, u] rows."""
+    z = layer_norm(x, ln_gain, ln_bias)
+    hid = gelu(bias_add(matmul(z, w1), b1))
+    return add(x, bias_add(matmul(hid, w2), b2))
+
+
+def attention_block_per_op(x, ln_gain, ln_bias, wq, wk, wv, wo):
+    """fedchain.tensor.attention_block as one primitive op per step, on [b, t, u]."""
+    b, t, u = x.shape
+    x2 = reshape(x, (b * t, u))
+    z = layer_norm(x2, ln_gain, ln_bias)
+    q, k, v = (reshape(matmul(z, w), (b, t, u)) for w in (wq, wk, wv))
+    scores = mul(matmul(q, swap_last2(k)), 1.0 / math.sqrt(u))
+    ctx = matmul(softmax(scores), v)
+    return reshape(add(x2, matmul(reshape(ctx, (b * t, u)), wo)), (b, t, u))

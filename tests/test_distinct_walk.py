@@ -256,7 +256,7 @@ def test_desk_step_records_as_many_tape_nodes_as_the_per_row_step(monkeypatch):
     for window in [(1, 2), (2, 3), (4, 5)]:
         mark_trainable(stack, window)
         nodes[window] = _assert_step_is_per_row(monkeypatch, stack, _tokens(5, 32), window)[2]
-    assert nodes == {(1, 2): 22, (2, 3): 22, (4, 5): 22}
+    assert nodes == {(1, 2): 16, (2, 3): 16, (4, 5): 16}
 
 
 @pytest.mark.parametrize("layer", [2, 3, 4])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedchain.model import (
+    BACKBONE_KINDS,
     AdapterParams,
     StackDims,
     TokenEmbedding,
@@ -20,13 +21,52 @@ from fedchain.model import (
     mark_trainable,
     named_parameters,
 )
-from fedchain.tensor import ShapeMismatch, Tape, Tensor, backward
+from fedchain.tensor import ShapeMismatch, Tape, Tensor, backward, mul, reshape, sum_all
+
+from oracles import attention_block_per_op, mlp_block_per_op
 
 DIMS = StackDims(L=4, u=8, v=3, C=3, kind="mlp", vocab=11)
 
 
 def _tokens(rng, n=5, t=6, vocab=11):
     return rng.integers(0, vocab, size=(n, t))
+
+
+# ---------------------------------------------------------------- backbone layers
+
+
+@pytest.mark.parametrize("trains", ["input", "everything"])
+@pytest.mark.parametrize("kind", sorted(BACKBONE_KINDS))
+def test_backbone_layer_is_bitwise_its_per_op_composition(kind, trains):
+    # attn-lite's MLP block takes the attention node's output and hands its adjoint back
+    layer = BACKBONE_KINDS[kind](6, 10, seed=5)
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    weights = Tensor(rng.normal(size=x.shape))
+    params = list(layer.params().values())
+    for t in params:
+        t.requires_grad = trains == "everything"
+    mlp = layer.mlp if kind == "attn-lite" else layer
+
+    def per_op(x):
+        h = x if kind == "mlp" else attention_block_per_op(
+            x, layer.ln1_gain, layer.ln1_bias, layer.wq, layer.wk, layer.wv, layer.wo)
+        rows = mlp_block_per_op(reshape(h, (12, 6)), mlp.ln_gain, mlp.ln_bias, mlp.w1, mlp.b1,
+                                mlp.w2, mlp.b2)
+        return reshape(rows, x.shape)
+
+    results = []
+    for forward in (layer.forward, per_op):
+        for t in (x, *params):
+            t.grad = None
+        with Tape() as tape:
+            out = forward(x)
+            backward(tape, sum_all(mul(out, weights)))
+        results.append((out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
+                                             for t in (x, *params)]))
+    assert results[0] == results[1]
+    graded = sum(g is not None for g in results[0][1])
+    assert graded == (1 + len(params) if trains == "everything" else 1)
 
 
 # ---------------------------------------------------------------- adapters

@@ -15,12 +15,14 @@ from fedchain.tensor import (
     _gelu,
     adapter_chain,
     add,
+    attention_block,
     backward,
     bias_add,
     gelu,
     layer_norm,
     matmul,
     mean,
+    mlp_block,
     mul,
     no_grad,
     relu,
@@ -32,7 +34,14 @@ from fedchain.tensor import (
     tanh,
 )
 
-from oracles import finite_difference, gelu_pow, matmul_triple_loop, max_relative_error
+from oracles import (
+    attention_block_per_op,
+    finite_difference,
+    gelu_pow,
+    matmul_triple_loop,
+    max_relative_error,
+    mlp_block_per_op,
+)
 
 FD_TOL = 1e-4
 
@@ -391,6 +400,116 @@ def test_adapter_chain_raises_on_non_finite_intermediates():
     with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(NumericError):
             adapter_chain(h, [(down, Tensor(np.zeros((1, 2))))])
+
+
+# ---------------------------------------------------------------- fused backbone blocks
+
+# each fused op and the per-op composition it must match bit for bit
+BLOCKS = {"mlp": (mlp_block, mlp_block_per_op),
+          "attention": (attention_block, attention_block_per_op)}
+
+
+def _block_shapes(kind, n=6, b=2, t=3, u=5, f=7):
+    """Shapes of the input and the 6 parameters of a block."""
+    if kind == "mlp":
+        return [(n, u), (u,), (u,), (u, f), (f,), (f, u), (u,)]
+    return [(b, t, u), (u,), (u,), (u, u), (u, u), (u, u), (u, u)]
+
+
+def _block_leaves(kind, seed, flags, scale=(1.0,) * 7, **dims):
+    rng = np.random.default_rng(seed)
+    shapes = _block_shapes(kind, **dims)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    arrays[1] = 1.0 + 0.3 * arrays[1]  # layer norm gains near 1
+    leaves = [Tensor(a * c, requires_grad=g) for a, c, g in zip(arrays, scale, flags)]
+    return leaves, Tensor(rng.normal(size=shapes[0]))
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+def test_fused_block_is_bitwise_the_per_op_composition(kind):
+    fused_op, per_op = BLOCKS[kind]
+    for flags in itertools.product((False, True), repeat=7):  # which inputs require grad
+        # the benchmark's widths: at these, q @ k^T's bits depend on k^T's memory layout
+        leaves, weights = _block_leaves(kind, 31, flags, n=64, b=4, t=16, u=32, f=64)
+        fused, fused_grads = _grads_of(leaves, lambda: fused_op(*leaves), weights)
+        composed, composed_grads = _grads_of(leaves, lambda: per_op(*leaves), weights)
+        assert fused.shape == composed.shape == leaves[0].shape
+        assert fused.data.tobytes() == composed.data.tobytes(), flags
+        for i, (t, a, b) in enumerate(zip(leaves, fused_grads, composed_grads)):
+            assert (a is None) == (not t.requires_grad) == (b is None), (flags, i)
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), (flags, i)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+@pytest.mark.parametrize("flags", [(True,) * 7, (True,) + (False,) * 6, (False,) + (True,) * 6],
+                         ids=["all", "input", "parameters"])
+def test_fused_block_gradients_match_finite_differences(kind, flags):
+    fused_op = BLOCKS[kind][0]
+    leaves, weights = _block_leaves(kind, 32, flags)
+    _check_grads([t for t in leaves if t.requires_grad],
+                 lambda: sum_all(mul(fused_op(*leaves), weights)))
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+def test_fused_block_raises_where_the_per_op_composition_does(kind):
+    # one input scaled by 1e307 or two by 1e160: where an intermediate overflows, the
+    # fused op raises what the per-op composition raises, checked before the next op runs
+    fused_op, per_op = BLOCKS[kind]
+    raised = 0
+    pairs = [((i, j), 1e160 if i != j else 1e307) for i in range(7) for j in range(i, 7)]
+    # under invalid="raise", a non-finite sum in the check itself raises FloatingPointError
+    errstates = [{"all": "ignore"}, {"over": "ignore", "invalid": "raise"}]
+    for ((i, j), c), record, errs in itertools.product(pairs, (False, True), errstates):
+        scale = tuple(c if k in (i, j) else 1.0 for k in range(7))
+        leaves, _ = _block_leaves(kind, 33, (record,) * 7, scale)
+        outcomes = []
+        for op in (fused_op, per_op):
+            with Tape(), np.errstate(**errs):
+                try:
+                    op(*leaves)
+                    outcomes.append(None)
+                except (NumericError, FloatingPointError) as e:
+                    outcomes.append(type(e))
+        assert outcomes[0] is outcomes[1], (i, j, record, errs, outcomes)
+        raised += outcomes[1] is NumericError and "all" in errs
+    assert raised >= 12
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+def test_fused_block_records_one_node_or_none_and_checks_shapes(kind):
+    fused_op = BLOCKS[kind][0]
+    for flags in [(False,) * 7, (True,) + (False,) * 6, (False,) * 6 + (True,)]:
+        leaves, _ = _block_leaves(kind, 34, flags)
+        with Tape() as tape:
+            out = fused_op(*leaves)
+        assert len(tape) == int(any(flags)) and out.requires_grad == any(flags)
+    leaves, _ = _block_leaves(kind, 34, (True,) * 7)
+    for i in range(7):
+        bad = list(leaves)
+        bad[i] = Tensor(np.ones(leaves[i].shape[:-1] + (leaves[i].shape[-1] + 1,)))
+        with pytest.raises(ShapeMismatch):
+            fused_op(*bad)
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKS))
+def test_fused_block_keeps_only_the_planes_its_backward_reads(kind):
+    # a trained layer below makes the block's input require grad; its weights are frozen
+    n, u, f = 256, 16, 32  # attention: b=16 rows of t=16 tokens
+    leaves, _ = _block_leaves(kind, 35, (True,) + (False,) * 6, n=n, b=16, t=16, u=u, f=f)
+    # the output plus, for mlp: xhat, inv and gelu's slope; for attention: xhat, inv,
+    # q, k^T, v and the [b, t, t] softmax output
+    planes = (2 * n * u + n + n * f) if kind == "mlp" else (5 * n * u + n + 16 * 16 * 16)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            BLOCKS[kind][0](*leaves)
+            held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert 8 * planes <= held <= 8 * planes + 4096, (held, 8 * planes)
 
 
 # ---------------------------------------------------------------- tape semantics
