@@ -3,9 +3,10 @@
 ``save_checkpoint(stack, base)`` writes ``base.manifest`` and ``base.blob``.
 The manifest header carries the stack geometry so a checkpoint is
 self-contained; each following line lists tensor name, shape, dtype, and
-byte offset into the blob.  Each file is written under a temporary name and
-renamed into place, the blob before the manifest, so a save that fails part
-way leaves the previous checkpoint loadable.
+byte offset into the blob.  A value that is not finite in f32 raises
+NumericError before any file is written.  Each file is written under a
+temporary name and renamed into place, the blob before the manifest, so a
+save that fails part way leaves the previous checkpoint loadable.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .model import (
     layer_param_count,
     named_parameters,
 )
-from .tensor import ADAPTER_ACT, LN_EPS
+from .tensor import ADAPTER_ACT, LN_EPS, NumericError
 
 MAGIC = "# fedchain-checkpoint v1"
 
@@ -42,7 +43,11 @@ def save_checkpoint(stack: ModelStack, base) -> None:
     chunks = []
     offset = 0
     for name, t in named_parameters(stack).items():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
+        with np.errstate(over="ignore"):
+            f32 = np.ascontiguousarray(t.data, dtype="<f4")
+        if not np.isfinite(f32).all():  # checked before any file is written
+            raise NumericError(f"{name}: a value is not finite in f32 and cannot be saved")
+        raw = f32.tobytes()
         shape = "x".join(str(d) for d in t.shape)
         lines.append(f"{name}\t{shape}\tf32\t{offset}")
         chunks.append(raw)

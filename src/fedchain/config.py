@@ -252,8 +252,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"{path}: not UTF-8 ({e})"]) from e
     except json.JSONDecodeError as e:
         raise ConfigError([f"{path}: not valid JSON ({e})"]) from e
     return parse_config(raw)

@@ -69,10 +69,12 @@ def synth_dataset(kind: str, M: int, C: int, seq_len: int, seed, *,
 
 
 def load_jsonl_dataset(path, vocab_path, seq_len: int, n_classes: int | None = None) -> Dataset:
-    """Whitespace-tokenized {"text", "label"} lines; OOV maps to the unknown id."""
-    with open(vocab_path) as fh:
+    """Whitespace-tokenized {"text", "label"} UTF-8 lines; OOV maps to the unknown id."""
+    with open(vocab_path, encoding="utf-8") as fh:
         try:
             vocab_map = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{vocab_path}: not UTF-8 ({e})") from e
         except json.JSONDecodeError as e:
             raise DataFormatError(f"{vocab_path}: not valid JSON ({e})") from e
     if not isinstance(vocab_map, dict) or not vocab_map:
@@ -84,9 +86,14 @@ def load_jsonl_dataset(path, vocab_path, seq_len: int, n_classes: int | None = N
     vocab_size = max(vocab_map.values()) + 1
 
     rows, labels = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        # split at \n, \r\n or \r, as text mode does, and decode each line on its own
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as e:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({e})") from e
             if not line:
                 continue
             try:

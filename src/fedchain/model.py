@@ -60,9 +60,10 @@ def _uniform(rng, shape, fan_in, scale):
 class MlpLayer:
     """Pre-norm residual feed-forward block: x + W2 gelu(W1 LN(x) + b1) + b2.
 
-    The block records one tape node (tensor.mlp_block).  A backbone never
-    trains, so for n rows the node keeps only what the gradient at its input
-    reads: layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, ffn].
+    The block records one tape node (tensor.mlp_block) and differentiates
+    only its input: a backbone never trains, and a weight that requires grad
+    raises ValueError.  For n rows the node keeps what that gradient reads:
+    layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, ffn].
     """
 
     kind = "mlp"
@@ -99,10 +100,11 @@ class MlpLayer:
 class AttnLiteLayer:
     """Single-head pre-norm residual self-attention, then the MlpLayer block.
 
-    The attention half records one tape node (tensor.attention_block).  For
-    b rows of t tokens it keeps layer norm's xhat [b*t, u] and inv [b*t, 1],
-    q, k^T and v ([b*t, u] each) and the softmax output [b, t, t]; the MLP
-    block's node follows.
+    The attention half records one tape node (tensor.attention_block) and,
+    as MlpLayer, differentiates only its input.  For b rows of t tokens it
+    keeps layer norm's xhat [b*t, u] and inv [b*t, 1], q, k^T and v
+    ([b*t, u] each) and the softmax output [b, t, t]; the MLP block's node
+    follows.
     """
 
     kind = "attn-lite"

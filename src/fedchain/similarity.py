@@ -48,8 +48,7 @@ def hsic_linear(zi, zj) -> float:
     n = zi.shape[0]
     if zj.shape[0] != n:
         raise ValueError(f"row counts differ: {n} vs {zj.shape[0]}")
-    cross = (zi - zi.mean(axis=0)).T @ (zj - zj.mean(axis=0))
-    return float((cross * cross).sum()) / (n - 1) ** 2
+    return _hsic_centered(zi - zi.mean(axis=0), zj - zj.mean(axis=0))
 
 
 def _hsic_centered(ci: np.ndarray, cj: np.ndarray) -> float:

@@ -10,10 +10,11 @@ receive ``.grad``; frozen tensors (``requires_grad=False``) never do.
 A node saves only what its backward needs.  Three fused ops each record one
 node in place of the per-op composition they are bitwise equal to:
 ``adapter_chain`` a whole run of residual bottleneck gelu adapters, keeping
-per adapter gelu's slope on the v-wide rows; ``mlp_block`` and
-``attention_block`` a backbone layer's feed-forward and attention halves,
-keeping the planes their input gradient needs.  Each keeps a weight's
-forward operand only when that weight requires grad.
+per adapter gelu's slope on the v-wide rows, and a weight's forward
+operand only when that weight requires grad; ``mlp_block`` and
+``attention_block`` a frozen backbone layer's feed-forward and attention
+halves, which differentiate only their input and keep the planes its
+gradient needs (a weight that requires grad raises ValueError).
 """
 from __future__ import annotations
 
@@ -454,10 +455,13 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def _check_params(op: str, params) -> None:
-    """Raise ShapeMismatch unless each (name, tensor, shape) tensor has its shape."""
+    """Raise ShapeMismatch unless each (name, tensor, shape) tensor has its shape, and
+    ValueError if one requires grad: a backbone block differentiates only its input."""
     for name, t, shape in params:
         if t.shape != shape:
             raise ShapeMismatch(f"{op}: {name} {t.shape} does not fit, want {shape}")
+        if t.requires_grad:
+            raise ValueError(f"{op}: {name} requires grad, but only the input is differentiated")
 
 
 def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
@@ -465,11 +469,11 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
     """Pre-norm residual feed-forward block x + gelu(LN(x) @ w1 + b1) @ w2 + b2 on
     [n, u] rows, as one op.
 
-    The one tape node keeps what the wanted gradients read: for the input's,
-    layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, f]; LN(x)
-    only when w1 requires grad and the gelu output only when w2 does.
-    Values and gradients are bitwise those of the
-    per-op composition add(x, bias_add(matmul(gelu(bias_add(matmul(
+    The weights are frozen backbone parameters: one that requires grad raises
+    ValueError.  The one tape node keeps what the input's gradient reads:
+    layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, f].  The
+    value and the input's gradient are bitwise those of the per-op
+    composition add(x, bias_add(matmul(gelu(bias_add(matmul(
     layer_norm(x, ln_gain, ln_bias), w1), b1)), w2), b2)).
     """
     if x.ndim != 2:
@@ -478,11 +482,6 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
     _check_params("mlp_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
                                 ("w1", w1, (u, f)), ("b1", b1, (f,)), ("w2", w2, (f, u)),
                                 ("b2", b2, (u,))])
-    inputs = (x, ln_gain, ln_bias, w1, b1, w2, b2)
-    recording = _recorder(inputs) is not None
-    wanted = [recording and a.requires_grad for a in inputs]
-    to_z = any(wanted[:3])  # a gradient is wanted at LN(x)
-    to_pre = to_z or wanted[3] or wanted[4]  # ... and at gelu's input
     xd = x.data
     xhat, inv = _normalize(xd)
     z = xhat * ln_gain.data + ln_bias.data
@@ -491,40 +490,22 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
     _check_finite(pre)
     pre += b1.data  # in place on a fresh array; addition commutes bitwise
     _check_finite(pre)
-    hid, slope = _gelu(pre, to_pre)
+    hid, slope = _gelu(pre, _recorder((x,)) is not None)
     _check_finite(hid)
     out = hid @ w2.data
     _check_finite(out)
     out += b2.data
     _check_finite(out)
     out += xd
-    xhat = xhat if wanted[0] or wanted[1] else None
-    inv = inv if wanted[0] else None
-    z = z if wanted[3] else None
-    hid = hid if wanted[5] else None
 
     def grad_fn(g):
-        grads: list[np.ndarray | None] = [None] * len(inputs)
-        if wanted[6]:
-            grads[6] = g.sum(axis=0)
-        if hid is not None:
-            grads[5] = _swapT(hid) @ g
-        if not to_pre:
-            return grads
         gpre = g @ _swapT(w2.data)
         gpre *= slope
-        if wanted[4]:
-            grads[4] = gpre.sum(axis=0)
-        if z is not None:
-            grads[3] = _swapT(z) @ gpre
-        if to_z:
-            gx, grads[1], grads[2] = _layer_norm_grads(gpre @ _swapT(w1.data), ln_gain.data,
-                                                       xhat, inv, wanted[:3])
-            if gx is not None:
-                grads[0] = g + gx  # the residual's adjoint, then layer norm's
-        return grads
+        gx = _layer_norm_grads(gpre @ _swapT(w1.data), ln_gain.data, xhat, inv,
+                               (True, False, False))[0]
+        return (g + gx,)  # the residual's adjoint, then layer norm's
 
-    return _emit(out, inputs, grad_fn)
+    return _emit(out, (x,), grad_fn)
 
 
 def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk: Tensor,
@@ -532,15 +513,15 @@ def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk:
     """Single-head pre-norm residual self-attention on [b, t, u], as one op:
     x + softmax(q k^T / sqrt(u)) v @ wo, with q, k, v = LN(x) @ wq, wk, wv.
 
-    The one tape node keeps what the wanted gradients read: for the input's,
+    The weights are frozen backbone parameters: one that requires grad raises
+    ValueError.  The one tape node keeps what the input's gradient reads:
     layer norm's xhat [b*t, u] and inv [b*t, 1], q, a contiguous k^T, v and
-    the softmax output [b, t, t]; LN(x) only when wq, wk or wv requires grad
-    and the attention context only when wo does.
-    Values and gradients are bitwise those of the per-op composition: with
-    x2 = reshape(x, (b*t, u)), z = layer_norm(x2, ln_gain, ln_bias) and each
-    of q, k, v = reshape(matmul(z, w), (b, t, u)), it is reshape(add(x2,
-    matmul(reshape(matmul(softmax(mul(matmul(q, swap_last2(k)), 1 / sqrt(u))),
-    v), (b*t, u)), wo)), (b, t, u)).
+    the softmax output [b, t, t].
+    The value and the input's gradient are bitwise those of the per-op
+    composition: with x2 = reshape(x, (b*t, u)), z = layer_norm(x2, ln_gain,
+    ln_bias) and each of q, k, v = reshape(matmul(z, w), (b, t, u)), it is
+    reshape(add(x2, matmul(reshape(matmul(softmax(mul(matmul(q,
+    swap_last2(k)), 1 / sqrt(u))), v), (b*t, u)), wo)), (b, t, u)).
     """
     if x.ndim != 3:
         raise ShapeMismatch(f"attention_block: x must be [b, t, u], got {x.shape}")
@@ -548,12 +529,6 @@ def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk:
     _check_params("attention_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
                                       ("wq", wq, (u, u)), ("wk", wk, (u, u)), ("wv", wv, (u, u)),
                                       ("wo", wo, (u, u))])
-    inputs = (x, ln_gain, ln_bias, wq, wk, wv, wo)
-    recording = _recorder(inputs) is not None
-    wanted = [recording and a.requires_grad for a in inputs]
-    to_z = any(wanted[:3])  # a gradient is wanted at LN(x)
-    to_q, to_k, to_v = to_z or wanted[3], to_z or wanted[4], to_z or wanted[5]
-    to_s = to_q or to_k  # ... and at the softmax output
     xd = x.data.reshape(b * t, u)
     xhat, inv = _normalize(xd)
     z = xhat * ln_gain.data + ln_bias.data
@@ -578,46 +553,21 @@ def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk:
     out = ctx @ wo.data
     _check_finite(out)
     out += xd
-    xhat = xhat if wanted[0] or wanted[1] else None
-    inv = inv if wanted[0] else None
-    z = z if wanted[3] or wanted[4] or wanted[5] else None
-    q = q if to_k else None
-    kT = kT if to_q else None
-    v = v if to_s else None
-    s = s if to_s or to_v else None
-    ctx = ctx if wanted[6] else None
 
     def grad_fn(g):
         g = g.reshape(b * t, u)
-        grads: list[np.ndarray | None] = [None] * len(inputs)
-        if ctx is not None:
-            grads[6] = _swapT(ctx) @ g
-        if not (to_s or to_v):
-            return grads
         gctx = (g @ _swapT(wo.data)).reshape(b, t, u)
-        gv = _swapT(s) @ gctx if to_v else None
-        gq = gk = None
-        if to_s:
-            gscores = _softmax_grad(gctx @ _swapT(v), s) * scale
-            gq = gscores @ _swapT(kT) if to_q else None
-            gk = _swapT(_swapT(q) @ gscores) if to_k else None
-        gz = None
-        for i, gw in ((5, gv), (4, gk), (3, gq)):  # z's adjoint sums v's, k's, q's in that order
-            if gw is None:
-                continue
-            gw = gw.reshape(b * t, u)
-            if wanted[i]:
-                grads[i] = _swapT(z) @ gw
-            if to_z:
-                part = gw @ _swapT(inputs[i].data)
-                gz = part if gz is None else gz + part
-        if to_z:
-            gx, grads[1], grads[2] = _layer_norm_grads(gz, ln_gain.data, xhat, inv, wanted[:3])
-            if gx is not None:
-                grads[0] = (g + gx).reshape(b, t, u)  # the residual's adjoint, then layer norm's
-        return grads
+        gv = _swapT(s) @ gctx
+        gscores = _softmax_grad(gctx @ _swapT(v), s) * scale
+        gq = gscores @ _swapT(kT)
+        gk = _swapT(_swapT(q) @ gscores)
+        # z's adjoint sums v's, k's and q's parts in that order
+        gz = (gv.reshape(b * t, u) @ _swapT(wv.data) + gk.reshape(b * t, u) @ _swapT(wk.data)
+              + gq.reshape(b * t, u) @ _swapT(wq.data))
+        gx = _layer_norm_grads(gz, ln_gain.data, xhat, inv, (True, False, False))[0]
+        return ((g + gx).reshape(b, t, u),)  # the residual's adjoint, then layer norm's
 
-    return _emit(out.reshape(b, t, u), inputs, grad_fn)
+    return _emit(out.reshape(b, t, u), (x,), grad_fn)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

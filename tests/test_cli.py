@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fedchain.checkpoint
 import fedchain.federation
 from fedchain.checkpoint import load_checkpoint
 from fedchain.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
@@ -354,6 +355,47 @@ def test_missing_files_exit_4(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(cfg2)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "i/o failure" in err
+
+
+@pytest.mark.parametrize("bad", ["data", "vocab", "config"])
+def test_a_file_that_is_not_utf8_exits_citing_its_path(config_path, tmp_path, capsys, bad):
+    # lines end in \r\n and \r, and each file holds one 0xff byte where `bad` says
+    data, vocab, cfg = tmp_path / "data.jsonl", tmp_path / "vocab.json", tmp_path / "file.json"
+    name = b"\xff" if bad == "data" else b"b"
+    data.write_bytes(b'{"text": "a b", "label": 0}\r\n{"text": "b a", "label": 1}\r'
+                     b'{"text": "a ' + name + b'", "label": 0}\n')
+    vocab.write_bytes(b'{"a": 2, "' + (b"\xff" if bad == "vocab" else b"b") + b'": 3}')
+    raw = json.loads(config_path.read_text())
+    raw["data"] = {"source": "file", "path": str(data), "vocab_path": str(vocab), "seq_len": 6}
+    text = json.dumps(raw).encode()
+    cfg.write_bytes(text.replace(b'"iid"', b'"iid\xff"') if bad == "config" else text)
+    code = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    cited = {"data": f"i/o failure: {data}:3: not UTF-8", "vocab": f"i/o failure: {vocab}: not UTF-8",
+             "config": f"fedchain: invalid config:\n  {cfg}: not UTF-8"}[bad]
+    assert code == (EXIT_CONFIG if bad == "config" else EXIT_IO)
+    assert cited in err, err
+
+
+def test_a_checkpoint_outside_the_f32_range_exits_3_and_keeps_the_last(config_path, tmp_path,
+                                                                         capsys, monkeypatch):
+    base = tmp_path / "final"
+    assert main(["run", "--config", str(config_path), "--rounds", "1",
+                 "--checkpoint", str(base)]) == EXIT_OK
+    saved = [(tmp_path / f"final.{ext}").read_bytes() for ext in ("manifest", "blob")]
+    save = fedchain.checkpoint.save_checkpoint
+
+    def diverged(stack, path):  # finite in f64, beyond the f32 range
+        stack.final_head.W.data = np.full(stack.final_head.W.shape, 1e39)
+        save(stack, path)
+
+    monkeypatch.setattr(fedchain.checkpoint, "save_checkpoint", diverged)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--rounds", "1",
+                 "--checkpoint", str(base)]) == EXIT_NUMERIC
+    assert "numeric failure: final_head.W" in capsys.readouterr().err
+    assert [(tmp_path / f"final.{ext}").read_bytes() for ext in ("manifest", "blob")] == saved
+    assert load_checkpoint(base).L == 3
 
 
 def test_numeric_blowup_exits_3(config_path, tmp_path, capsys):

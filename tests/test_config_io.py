@@ -2,6 +2,7 @@
 import builtins
 import errno
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fedchain.data import (
     train_eval_split,
 )
 from fedchain.model import StackDims, build_stack, named_parameters
+from fedchain.tensor import NumericError
 
 from oracles import train_depth2_reference
 
@@ -325,6 +327,24 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     save_checkpoint(stack, tmp_path / "b")
     assert (tmp_path / "a.blob").read_bytes() == (tmp_path / "b.blob").read_bytes()
     assert (tmp_path / "a.manifest").read_text() == (tmp_path / "b.manifest").read_text()
+
+
+def test_checkpoint_refuses_values_outside_the_f32_range_before_writing(tmp_path):
+    stack = build_stack(StackDims(L=2, u=8, v=2, C=2, kind="mlp", vocab=7), seed=3)
+    base = tmp_path / "ckpt"
+    save_checkpoint(stack, base)
+    files = sorted(tmp_path.iterdir())
+    saved = [f.read_bytes() for f in files]
+    stack.final_head.W.data[0, 0] = -3.4e38  # the edge of the f32 range saves
+    save_checkpoint(stack, tmp_path / "edge")
+    assert load_checkpoint(tmp_path / "edge").final_head.W.data[0, 0] == np.float32(-3.4e38)
+    stack.final_head.W.data[0, 0] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nor does the cast warn on the way
+        with pytest.raises(NumericError, match="final_head.W"):
+            save_checkpoint(stack, base)
+    assert [f.read_bytes() for f in files] == saved and sorted(tmp_path.glob("ckpt*")) == files
+    assert load_checkpoint(base).final_head.W.data[0, 0] != 1e39
 
 
 def test_checkpoint_detects_truncated_blob(tmp_path):

@@ -260,19 +260,15 @@ def test_desk_step_records_as_many_tape_nodes_as_the_per_row_step(monkeypatch):
 
 
 @pytest.mark.parametrize("layer", [2, 3, 4])
-def test_a_grad_requiring_backbone_stops_the_frozen_walk_before_it(monkeypatch, layer):
+def test_stage_loss_refuses_a_grad_requiring_backbone(layer):
     # window (3, 4); the backbone of layer 2 sits below it, of 3 and 4 inside it
     stack = _moved(DESK, 7)
     mark_trainable(stack, (3, 4))
     stack.units[layer - 1].backbone.w1.requires_grad = True
     x = _tokens(6, 32)
-    grads = _assert_step_is_per_row(monkeypatch, stack, x, (3, 4))[3]
-    assert f"backbone.{layer}.fc1.W" in grads
-    seen = _rows_seen(monkeypatch, stack)
-    forward_through(stack, x, upto=4)
-    k = len(np.unique(x))
-    walked = min(layer - 1, 3)  # below that backbone, up to the window's first backbone
-    assert seen == {i: [k] if i <= walked else [x.size] if i <= 4 else [] for i in seen}
+    y = np.arange(len(x)) % stack.dims.C
+    with Tape(), pytest.raises(ValueError, match="w1 requires grad"):
+        stage_loss(stack, x, y, (3, 4), StageLossConfig(0.2))
 
 
 def test_one_distinct_id_and_attn_lite_steps_are_the_per_row_step(monkeypatch):

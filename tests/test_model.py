@@ -7,6 +7,7 @@ import pytest
 
 from fedchain.model import (
     BACKBONE_KINDS,
+    TRAINABLE_SCHEMES,
     AdapterParams,
     StackDims,
     TokenEmbedding,
@@ -35,7 +36,7 @@ def _tokens(rng, n=5, t=6, vocab=11):
 # ---------------------------------------------------------------- backbone layers
 
 
-@pytest.mark.parametrize("trains", ["input", "everything"])
+@pytest.mark.parametrize("trains", ["input"])  # a backbone's own weights never train
 @pytest.mark.parametrize("kind", sorted(BACKBONE_KINDS))
 def test_backbone_layer_is_bitwise_its_per_op_composition(kind, trains):
     # attn-lite's MLP block takes the attention node's output and hands its adjoint back
@@ -44,8 +45,6 @@ def test_backbone_layer_is_bitwise_its_per_op_composition(kind, trains):
     x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
     weights = Tensor(rng.normal(size=x.shape))
     params = list(layer.params().values())
-    for t in params:
-        t.requires_grad = trains == "everything"
     mlp = layer.mlp if kind == "attn-lite" else layer
 
     def per_op(x):
@@ -65,8 +64,7 @@ def test_backbone_layer_is_bitwise_its_per_op_composition(kind, trains):
         results.append((out.data.tobytes(), [None if t.grad is None else t.grad.tobytes()
                                              for t in (x, *params)]))
     assert results[0] == results[1]
-    graded = sum(g is not None for g in results[0][1])
-    assert graded == (1 + len(params) if trains == "everything" else 1)
+    assert [g is not None for g in results[0][1]] == [True] + [False] * len(params)
 
 
 # ---------------------------------------------------------------- adapters
@@ -270,6 +268,20 @@ def test_mark_trainable_window_scheme():
     assert stack.units[3].adapter.down.requires_grad is False
     # backbone stays frozen under every scheme
     assert stack.units[1].backbone.w1.requires_grad is False
+
+
+@pytest.mark.parametrize("kind", sorted(BACKBONE_KINDS))
+@pytest.mark.parametrize("scheme", TRAINABLE_SCHEMES)
+def test_mark_trainable_never_flags_the_embedding_or_a_backbone(scheme, kind):
+    # the fused backbone blocks refuse a weight that requires grad
+    stack = build_stack(StackDims(L=4, u=8, v=3, C=3, kind=kind, vocab=11), seed=0)
+    windows = [(lo, hi) for lo in range(1, 5) for hi in range(lo, 5)]
+    for window in windows + ([] if scheme == "window" else [None]):
+        mark_trainable(stack, window, scheme)
+        frozen = [t for name, t in named_parameters(stack).items()
+                  if name == "embed" or name.startswith("backbone.")]
+        assert len(frozen) == 1 + 4 * len(stack.units[0].backbone.params())
+        assert not any(t.requires_grad for t in frozen), window
 
 
 def test_mark_trainable_remarking_resets_previous_flags():
