@@ -201,15 +201,18 @@ def aggregate(stack: ModelStack, deltas: list[ParamDelta], sizes: list[int]) -> 
         if list(d.keys()) != keys:
             raise ValueError(f"delta key sets differ: {sorted(set(d) ^ set(keys))}")
     params = named_parameters(stack)
-    applied: dict[str, np.ndarray] = {}
-    for key in keys:
+    for key in keys:  # every key and client before any update: a sum would broadcast
         if key not in params:
             raise ValueError(f"unknown parameter name {key!r}")
+        shape = params[key].data.shape
+        for d in deltas:
+            if np.shape(d[key]) != shape:
+                raise ValueError(f"delta shape {np.shape(d[key])} mismatches {key} {shape}")
+    applied: dict[str, np.ndarray] = {}
+    for key in keys:
         update = np.zeros_like(deltas[0][key])
         for w, d in zip(weights, deltas):
             update = update + w * d[key]
-        if update.shape != params[key].data.shape:
-            raise ValueError(f"delta shape {update.shape} mismatches {key} {params[key].data.shape}")
         params[key].data = params[key].data + update
         applied[key] = update
     return applied

@@ -22,7 +22,6 @@ from .tensor import (
     mean,
     mlp_block,
     no_grad,
-    reshape,
     softmax_cross_entropy,
 )
 
@@ -60,13 +59,12 @@ def _uniform(rng, shape, fan_in, scale):
 class MlpLayer:
     """Pre-norm residual feed-forward block: x + W2 gelu(W1 LN(x) + b1) + b2.
 
-    The block records one tape node (tensor.mlp_block) and differentiates
-    only its input: a backbone never trains, and a weight that requires grad
-    raises ValueError.  For n rows the node keeps what that gradient reads:
-    layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, ffn].
+    The block records one tape node (tensor.mlp_block) on x [..., u] and
+    differentiates only its input: a backbone never trains, and a weight
+    that requires grad raises ValueError.  For n = x.size // u rows the node
+    keeps layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, ffn].
     """
 
-    kind = "mlp"
     mixes_tokens = False  # each [u] row maps on its own
 
     def __init__(self, u: int, ffn: int, seed, scale: float = 1.0):
@@ -88,13 +86,8 @@ class MlpLayer:
             "fc2.b": self.b2,
         }
 
-    def rows(self, x2: Tensor) -> Tensor:
-        """The block on [n, u] rows, as one tape node (see tensor.mlp_block)."""
-        return mlp_block(x2, self.ln_gain, self.ln_bias, self.w1, self.b1, self.w2, self.b2)
-
     def forward(self, x: Tensor) -> Tensor:
-        b, t, u = x.shape
-        return reshape(self.rows(reshape(x, (b * t, u))), (b, t, u))
+        return mlp_block(x, self.ln_gain, self.ln_bias, self.w1, self.b1, self.w2, self.b2)
 
 
 class AttnLiteLayer:
@@ -103,11 +96,10 @@ class AttnLiteLayer:
     The attention half records one tape node (tensor.attention_block) and,
     as MlpLayer, differentiates only its input.  For b rows of t tokens it
     keeps layer norm's xhat [b*t, u] and inv [b*t, 1], q, k^T and v
-    ([b*t, u] each) and the softmax output [b, t, t]; the MLP block's node
-    follows.
+    ([b*t, u] each) and the softmax output [b, t, t]; the MLP block's one
+    node follows, so the layer is two tape nodes.
     """
 
-    kind = "attn-lite"
     mixes_tokens = True
 
     def __init__(self, u: int, ffn: int, seed, scale: float = 1.0):

@@ -15,6 +15,7 @@ operand only when that weight requires grad; ``mlp_block`` and
 ``attention_block`` a frozen backbone layer's feed-forward and attention
 halves, which differentiate only their input and keep the planes its
 gradient needs (a weight that requires grad raises ValueError).
+``adapter_chain`` and ``mlp_block`` take [..., u] and run it as [n, u] rows.
 """
 from __future__ import annotations
 
@@ -467,22 +468,23 @@ def _check_params(op: str, params) -> None:
 def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tensor,
               w2: Tensor, b2: Tensor) -> Tensor:
     """Pre-norm residual feed-forward block x + gelu(LN(x) @ w1 + b1) @ w2 + b2 on
-    [n, u] rows, as one op.
+    x [..., u], as one op; x runs as [n, u] rows.
 
     The weights are frozen backbone parameters: one that requires grad raises
     ValueError.  The one tape node keeps what the input's gradient reads:
     layer norm's xhat [n, u] and inv [n, 1] and gelu's slope [n, f].  The
     value and the input's gradient are bitwise those of the per-op
-    composition add(x, bias_add(matmul(gelu(bias_add(matmul(
-    layer_norm(x, ln_gain, ln_bias), w1), b1)), w2), b2)).
+    composition on the rows x2 = reshape(x, (n, u)), reshaped back to x's
+    shape: add(x2, bias_add(matmul(gelu(bias_add(matmul(
+    layer_norm(x2, ln_gain, ln_bias), w1), b1)), w2), b2)).
     """
-    if x.ndim != 2:
-        raise ShapeMismatch(f"mlp_block: x must be [n, u] rows, got {x.shape}")
-    u, f = x.shape[1], (w1.shape[-1] if w1.ndim else 0)
+    if x.ndim == 0:
+        raise ShapeMismatch("mlp_block: x must be [..., u], got a scalar")
+    u, f = x.shape[-1], (w1.shape[-1] if w1.ndim else 0)
     _check_params("mlp_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
                                 ("w1", w1, (u, f)), ("b1", b1, (f,)), ("w2", w2, (f, u)),
                                 ("b2", b2, (u,))])
-    xd = x.data
+    shape, xd = x.shape, x.data.reshape(-1, u)
     xhat, inv = _normalize(xd)
     z = xhat * ln_gain.data + ln_bias.data
     _check_finite(z)
@@ -499,13 +501,14 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
     out += xd
 
     def grad_fn(g):
+        g = g.reshape(-1, u)
         gpre = g @ _swapT(w2.data)
         gpre *= slope
         gx = _layer_norm_grads(gpre @ _swapT(w1.data), ln_gain.data, xhat, inv,
                                (True, False, False))[0]
-        return (g + gx,)  # the residual's adjoint, then layer norm's
+        return ((g + gx).reshape(shape),)  # the residual's adjoint, then layer norm's
 
-    return _emit(out, (x,), grad_fn)
+    return _emit(out.reshape(shape), (x,), grad_fn)
 
 
 def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk: Tensor,

@@ -198,16 +198,16 @@ def _assert_step_is_per_row(monkeypatch, stack, x, window, lam=0.2, walk=None):
 
 
 def _rows_seen(monkeypatch, stack):
-    """Per layer, the row count of every MlpLayer.rows call from here on."""
+    """Per layer, the [u] row count of every MlpLayer.forward call from here on."""
     layer_of = {id(unit.backbone): i for i, unit in enumerate(stack.units, start=1)}
     seen = {i: [] for i in layer_of.values()}
-    rows = MlpLayer.rows
+    forward = MlpLayer.forward
 
-    def counted(self, x2):
-        seen[layer_of[id(self)]].append(x2.shape[0])
-        return rows(self, x2)
+    def counted(self, x):
+        seen[layer_of[id(self)]].append(x.size // x.shape[-1])
+        return forward(self, x)
 
-    monkeypatch.setattr(MlpLayer, "rows", counted)
+    monkeypatch.setattr(MlpLayer, "forward", counted)
     return seen
 
 
@@ -256,7 +256,18 @@ def test_desk_step_records_as_many_tape_nodes_as_the_per_row_step(monkeypatch):
     for window in [(1, 2), (2, 3), (4, 5)]:
         mark_trainable(stack, window)
         nodes[window] = _assert_step_is_per_row(monkeypatch, stack, _tokens(5, 32), window)[2]
-    assert nodes == {(1, 2): 16, (2, 3): 16, (4, 5): 16}
+    assert nodes == {(1, 2): 14, (2, 3): 14, (4, 5): 14}
+
+
+def test_attn_step_records_one_node_per_backbone_block():
+    # all_adapters at window (1, 6): layer 1's backbone is frozen below every trained
+    # tensor and records nothing; layers 2-6 record attention and mlp, one node each
+    stack = _moved(StackDims(L=6, u=32, v=8, C=2, kind="attn-lite", vocab=50), 8)
+    mark_trainable(stack, scheme="all_adapters")
+    x = _tokens(6, 8)
+    with Tape() as tape:
+        stage_loss(stack, x, np.arange(len(x)) % 2, (1, 6), StageLossConfig(0.2))
+    assert len(tape) == 20
 
 
 @pytest.mark.parametrize("layer", [2, 3, 4])

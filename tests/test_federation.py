@@ -222,6 +222,13 @@ def test_aggregate_validates_keys_and_shapes():
         aggregate(stack, [{"layer.9.adapter.down": np.zeros((8, 3))}], [1])
     with pytest.raises(ValueError, match="shape"):
         aggregate(stack, [{"final_head.W": np.zeros((2, 2))}], [1])
+    # a later client's mis-shaped delta would broadcast into the sum: refused before any
+    # key is applied
+    before = {k: t.data.copy() for k, t in named_parameters(stack).items()}
+    good = {"final_head.b": np.ones(3), "final_head.W": np.zeros((8, 3))}
+    with pytest.raises(ValueError, match=r"\(3,\) mismatches final_head\.W"):
+        aggregate(stack, [good, {**good, "final_head.W": np.ones(3)}], [1, 1])
+    assert all(np.array_equal(t.data, before[k]) for k, t in named_parameters(stack).items())
     with pytest.raises(ValueError):
         aggregate(stack, [_const_delta(stack, 1.0)], [1, 2])
 

@@ -404,16 +404,25 @@ def test_adapter_chain_raises_on_non_finite_intermediates():
 
 # ---------------------------------------------------------------- fused backbone blocks
 
-# each fused op and the per-op composition it must match bit for bit
+def _mlp_block_on_tokens_per_op(x, *params):
+    """mlp_block_per_op on [b, t, u] tokens: reshaped to rows and back."""
+    b, t, u = x.shape
+    return reshape(mlp_block_per_op(reshape(x, (b * t, u)), *params), (b, t, u))
+
+
+# each fused op and the per-op composition it must match bit for bit; "mlp-tokens" is
+# the mlp block on [b, t, u], as a model layer calls it
 BLOCKS = {"mlp": (mlp_block, mlp_block_per_op),
+          "mlp-tokens": (mlp_block, _mlp_block_on_tokens_per_op),
           "attention": (attention_block, attention_block_per_op)}
 
 
 def _block_shapes(kind, n=6, b=2, t=3, u=5, f=7):
     """Shapes of the input and the 6 parameters of a block."""
-    if kind == "mlp":
-        return [(n, u), (u,), (u,), (u, f), (f,), (f, u), (u,)]
-    return [(b, t, u), (u,), (u,), (u, u), (u, u), (u, u), (u, u)]
+    if kind == "attention":
+        return [(b, t, u), (u,), (u,), (u, u), (u, u), (u, u), (u, u)]
+    x = (n, u) if kind == "mlp" else (b, t, u)
+    return [x, (u,), (u,), (u, f), (f,), (f, u), (u,)]
 
 
 def _block_leaves(kind, seed, flags, scale=(1.0,) * 7, **dims):
@@ -492,13 +501,15 @@ def test_fused_block_records_one_node_or_none_and_checks_shapes(kind):
         bad[i] = Tensor(np.ones(leaves[i].shape[:-1] + (leaves[i].shape[-1] + 1,)))
         with pytest.raises(ShapeMismatch):
             fused_op(*bad)
+    with pytest.raises(ShapeMismatch):
+        fused_op(Tensor(1.0, requires_grad=True), *leaves[1:])
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCKS))
 def test_fused_block_refuses_a_grad_requiring_weight(kind):
     fused_op = BLOCKS[kind][0]
-    names = {"mlp": ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2"),
-             "attention": ("ln_gain", "ln_bias", "wq", "wk", "wv", "wo")}[kind]
+    names = (("ln_gain", "ln_bias", "wq", "wk", "wv", "wo") if kind == "attention" else
+             ("ln_gain", "ln_bias", "w1", "b1", "w2", "b2"))
     for i, name in enumerate(names, start=1):
         for x_grad in (False, True):
             flags = (x_grad,) + tuple(k == i for k in range(1, 7))
@@ -515,7 +526,7 @@ def test_fused_block_keeps_only_the_planes_its_backward_reads(kind):
     leaves, _ = _block_leaves(kind, 35, (True,) + (False,) * 6, n=n, b=16, t=16, u=u, f=f)
     # the output plus, for mlp: xhat, inv and gelu's slope; for attention: xhat, inv,
     # q, k^T, v and the [b, t, t] softmax output
-    planes = (2 * n * u + n + n * f) if kind == "mlp" else (5 * n * u + n + 16 * 16 * 16)
+    planes = (2 * n * u + n + n * f) if kind != "attention" else (5 * n * u + n + 16 * 16 * 16)
     tracemalloc.start()
     try:
         with Tape() as tape:
