@@ -7,6 +7,12 @@ arrays are dropped once its gradient function has run, so a tape can be
 replayed only once.  Only leaves, the tensors no node on the tape produced,
 receive ``.grad``; frozen tensors (``requires_grad=False``) never do.
 
+A tape keeps only what a gradient reads: a node refers to its inputs by node
+index or, for a leaf that requires grad, by the leaf (see ``Tape``), and its
+gradient function closes over arrays, shapes and flags, never a ``Tensor``.
+So an op's output the program drops is freed at once unless a gradient
+reads its array.
+
 A node saves only what its backward needs.  Three fused ops each record one
 node in place of the per-op composition they are bitwise equal to:
 ``adapter_chain`` a whole run of residual bottleneck gelu adapters, keeping
@@ -51,9 +57,13 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 class Tensor:
-    """Row-major float64 array plus an optional same-shape gradient buffer."""
+    """Row-major float64 array plus an optional same-shape gradient buffer.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``node`` is (tape token, node index) for the output of an op a tape
+    recorded, and None for a leaf.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -61,6 +71,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.node: tuple[object, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,11 +98,18 @@ class Tensor:
 
 
 class Tape:
-    """Append-ordered record of differentiable operations."""
+    """Append-ordered record of differentiable operations.
+
+    A node is (refs, grad_fn).  Per input, refs holds the index of the node
+    that made it when this tape did, the input itself when it is a leaf that
+    requires grad (it receives .grad), and None otherwise.  A tensor another
+    tape made is a leaf here: the token in its ``node`` is not this tape's.
+    """
 
     def __init__(self):
         # backward replaces each node by None once replayed, so len() still counts them
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object] | None] = []
+        self._nodes: list[tuple[tuple[int | Tensor | None, ...], object] | None] = []
+        self._token = object()
         self._replayed = False
 
     def __enter__(self) -> "Tape":
@@ -102,8 +120,14 @@ class Tape:
         _TAPES.pop()
         return False
 
+    def _ref(self, t: Tensor) -> int | Tensor | None:
+        if t.node is not None and t.node[0] is self._token:
+            return t.node[1]
+        return t if t.requires_grad else None
+
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], grad_fn) -> None:
-        self._nodes.append((out, inputs, grad_fn))
+        out.node = (self._token, len(self._nodes))
+        self._nodes.append((tuple(self._ref(t) for t in inputs), grad_fn))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -144,28 +168,23 @@ def backward(tape: Tape, loss: Tensor) -> None:
                            "record the forward pass on a new Tape")
     tape._replayed = True
     nodes = tape._nodes
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # keyed by node index, or by the leaf itself: a key holds its leaf, so no id is reused
+    adjoints: dict[int | Tensor, np.ndarray] = {}
+    root = tape._ref(loss)
+    if root is not None:
+        adjoints[root] = np.ones_like(loss.data)
     for i in range(len(nodes) - 1, -1, -1):
-        out, inputs, grad_fn = nodes[i]
+        refs, grad_fn = nodes[i]
         nodes[i] = None
-        holders.pop(id(out), None)
-        g = adjoints.pop(id(out), None)
+        g = adjoints.pop(i, None)
         if g is None:
             continue
-        for t, gt in zip(inputs, grad_fn(g)):
-            if gt is None or not t.requires_grad:
+        for ref, gt in zip(refs, grad_fn(g)):
+            if gt is None or ref is None:
                 continue
-            key = id(t)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + gt
-            else:
-                adjoints[key] = gt
-                holders[key] = t
-    for key, t in holders.items():  # no node produced what is left: the leaves
-        if t.requires_grad:
-            g = adjoints[key]
-            t.grad = g if t.grad is None else t.grad + g
+            adjoints[ref] = adjoints[ref] + gt if ref in adjoints else gt
+    for t, g in adjoints.items():  # every node index was popped: what is left are leaves
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _recorder(inputs: tuple[Tensor, ...]) -> Tape | None:
@@ -202,9 +221,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not ok:
         raise ShapeMismatch(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
 
+    # a's adjoint reads b's data and b's reads a's: keep each only if the other trains
+    keep_a = ad if b.requires_grad else None
+    keep_b = bd if a.requires_grad else None
+
     def grad_fn(g):
-        ga = g @ _swapT(bd) if a.requires_grad else None
-        gb = _swapT(ad) @ g if b.requires_grad else None
+        ga = None if keep_b is None else g @ _swapT(keep_b)
+        gb = None if keep_a is None else _swapT(keep_a) @ g
         return ga, gb
 
     return _emit(ad @ bd, (a, b), grad_fn)
@@ -226,10 +249,11 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _elementwise_shapes(a, b)
+    a_shape, b_shape, a_trains, b_trains = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        ga = _reduce_to(g, a.shape) if a.requires_grad else None
-        gb = _reduce_to(g, b.shape) if b.requires_grad else None
+        ga = _reduce_to(g, a_shape) if a_trains else None
+        gb = _reduce_to(g, b_shape) if b_trains else None
         return ga, gb
 
     return _emit(a.data + b.data, (a, b), grad_fn)
@@ -239,10 +263,11 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _elementwise_shapes(a, b)
     ad, bd = a.data, b.data
+    a_shape, b_shape, a_trains, b_trains = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        ga = _reduce_to(g * bd, a.shape) if a.requires_grad else None
-        gb = _reduce_to(g * ad, b.shape) if b.requires_grad else None
+        ga = _reduce_to(g * bd, a_shape) if a_trains else None
+        gb = _reduce_to(g * ad, b_shape) if b_trains else None
         return ga, gb
 
     return _emit(ad * bd, (a, b), grad_fn)
@@ -347,19 +372,20 @@ def adapter_chain(h: Tensor, adapters) -> Tensor:
         through = flows or down_trains  # ... and at pre
         act, slope = _gelu(pre, through)
         saved.append((flows, through, slope, act if up_trains else None,
-                      x if down_trains else None))
+                      x if down_trains else None, down.data, up.data))
         step = act @ up.data
         step += x  # in place on a fresh array; addition commutes bitwise
         x = step
         _check_finite(x)
         flows = through or up_trains
 
+    shape = h.shape
+
     def grad_fn(g):
         g = g.reshape(-1, u)
-        grads: list[np.ndarray | None] = [None] * len(inputs)
+        grads: list[np.ndarray | None] = [None] * (1 + 2 * len(saved))
         for k in range(len(saved) - 1, -1, -1):
-            flows_in, through, slope, act, x_in = saved[k]
-            down, up = params[2 * k].data, params[2 * k + 1].data
+            flows_in, through, slope, act, x_in, down, up = saved[k]
             if act is not None:
                 grads[2 + 2 * k] = _swapT(act) @ g
             if not through:
@@ -373,10 +399,10 @@ def adapter_chain(h: Tensor, adapters) -> Tensor:
             back = gpre @ _swapT(down)
             back += g
             g = back
-        grads[0] = g.reshape(h.shape)
+        grads[0] = g.reshape(shape)
         return grads
 
-    return _emit(x.reshape(h.shape), inputs, grad_fn)
+    return _emit(x.reshape(shape), inputs, grad_fn)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -385,9 +411,11 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     if b.ndim != 1 or b.shape[0] != d:
         raise ShapeMismatch(f"bias_add: bias {b.shape} does not match last axis of {x.shape}")
 
+    x_trains, b_trains = x.requires_grad, b.requires_grad
+
     def grad_fn(g):
-        gx = g if x.requires_grad else None
-        gb = g.reshape(-1, d).sum(axis=0) if b.requires_grad else None
+        gx = g if x_trains else None
+        gb = g.reshape(-1, d).sum(axis=0) if b_trains else None
         return gx, gb
 
     return _emit(x.data + b.data, (x, b), grad_fn)
@@ -406,12 +434,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match last axis of {x.shape}"
         )
     xhat, inv = _normalize(x.data)
+    gd, wanted = gain.data, (x.requires_grad, gain.requires_grad, bias.requires_grad)
 
     def grad_fn(g):
-        return _layer_norm_grads(g, gain.data, xhat, inv,
-                                 (x.requires_grad, gain.requires_grad, bias.requires_grad))
+        return _layer_norm_grads(g, gd, xhat, inv, wanted)
 
-    return _emit(xhat * gain.data + bias.data, (x, gain, bias), grad_fn)
+    return _emit(xhat * gd + bias.data, (x, gain, bias), grad_fn)
 
 
 # Layer norm and softmax as array functions: the one definition behind the ops and the
@@ -484,17 +512,18 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
     _check_params("mlp_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
                                 ("w1", w1, (u, f)), ("b1", b1, (f,)), ("w2", w2, (f, u)),
                                 ("b2", b2, (u,))])
+    gain, w1d, w2d = ln_gain.data, w1.data, w2.data  # what grad_fn reads of the weights
     shape, xd = x.shape, x.data.reshape(-1, u)
     xhat, inv = _normalize(xd)
-    z = xhat * ln_gain.data + ln_bias.data
+    z = xhat * gain + ln_bias.data
     _check_finite(z)
-    pre = z @ w1.data
+    pre = z @ w1d
     _check_finite(pre)
     pre += b1.data  # in place on a fresh array; addition commutes bitwise
     _check_finite(pre)
     hid, slope = _gelu(pre, _recorder((x,)) is not None)
     _check_finite(hid)
-    out = hid @ w2.data
+    out = hid @ w2d
     _check_finite(out)
     out += b2.data
     _check_finite(out)
@@ -502,10 +531,9 @@ def mlp_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, w1: Tensor, b1: Tenso
 
     def grad_fn(g):
         g = g.reshape(-1, u)
-        gpre = g @ _swapT(w2.data)
+        gpre = g @ _swapT(w2d)
         gpre *= slope
-        gx = _layer_norm_grads(gpre @ _swapT(w1.data), ln_gain.data, xhat, inv,
-                               (True, False, False))[0]
+        gx = _layer_norm_grads(gpre @ _swapT(w1d), gain, xhat, inv, (True, False, False))[0]
         return ((g + gx).reshape(shape),)  # the residual's adjoint, then layer norm's
 
     return _emit(out.reshape(shape), (x,), grad_fn)
@@ -532,15 +560,17 @@ def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk:
     _check_params("attention_block", [("ln_gain", ln_gain, (u,)), ("ln_bias", ln_bias, (u,)),
                                       ("wq", wq, (u, u)), ("wk", wk, (u, u)), ("wv", wv, (u, u)),
                                       ("wo", wo, (u, u))])
+    # what grad_fn reads of the weights
+    gain, wqd, wkd, wvd, wod = ln_gain.data, wq.data, wk.data, wv.data, wo.data
     xd = x.data.reshape(b * t, u)
     xhat, inv = _normalize(xd)
-    z = xhat * ln_gain.data + ln_bias.data
+    z = xhat * gain + ln_bias.data
     _check_finite(z)
-    q = z @ wq.data
+    q = z @ wqd
     _check_finite(q)
-    k = z @ wk.data
+    k = z @ wkd
     _check_finite(k)
-    v = z @ wv.data
+    v = z @ wvd
     _check_finite(v)
     q, v = q.reshape(b, t, u), v.reshape(b, t, u)
     kT = np.ascontiguousarray(_swapT(k.reshape(b, t, u)))  # the copy swap_last2's Tensor makes
@@ -553,21 +583,21 @@ def attention_block(x: Tensor, ln_gain: Tensor, ln_bias: Tensor, wq: Tensor, wk:
     _check_finite(s)
     ctx = (s @ v).reshape(b * t, u)
     _check_finite(ctx)
-    out = ctx @ wo.data
+    out = ctx @ wod
     _check_finite(out)
     out += xd
 
     def grad_fn(g):
         g = g.reshape(b * t, u)
-        gctx = (g @ _swapT(wo.data)).reshape(b, t, u)
+        gctx = (g @ _swapT(wod)).reshape(b, t, u)
         gv = _swapT(s) @ gctx
         gscores = _softmax_grad(gctx @ _swapT(v), s) * scale
         gq = gscores @ _swapT(kT)
         gk = _swapT(_swapT(q) @ gscores)
         # z's adjoint sums v's, k's and q's parts in that order
-        gz = (gv.reshape(b * t, u) @ _swapT(wv.data) + gk.reshape(b * t, u) @ _swapT(wk.data)
-              + gq.reshape(b * t, u) @ _swapT(wq.data))
-        gx = _layer_norm_grads(gz, ln_gain.data, xhat, inv, (True, False, False))[0]
+        gz = (gv.reshape(b * t, u) @ _swapT(wvd) + gk.reshape(b * t, u) @ _swapT(wkd)
+              + gq.reshape(b * t, u) @ _swapT(wqd))
+        gx = _layer_norm_grads(gz, gain, xhat, inv, (True, False, False))[0]
         return ((g + gx).reshape(b, t, u),)  # the residual's adjoint, then layer norm's
 
     return _emit(out.reshape(b, t, u), (x,), grad_fn)
@@ -604,17 +634,19 @@ def mean(x: Tensor, axis: int) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeMismatch(f"mean: axis {axis} out of range for shape {x.shape}")
     axis = axis % x.ndim
-    n = x.shape[axis]
+    shape, n = x.shape, x.shape[axis]
 
     def grad_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / n, shape).copy(),)
 
     return _emit(x.data.mean(axis=axis), (x,), grad_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape = x.shape
+
     def grad_fn(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit(np.asarray(x.data.sum()), (x,), grad_fn)
 
@@ -624,9 +656,10 @@ def reshape(x: Tensor, shape) -> Tensor:
         value = x.data.reshape(shape)
     except ValueError as e:
         raise ShapeMismatch(f"reshape: cannot view {x.shape} as {shape}") from e
+    x_shape = x.shape
 
     def grad_fn(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _emit(value, (x,), grad_fn)
 

@@ -20,7 +20,7 @@ from fedchain.model import (
     mark_trainable,
     named_parameters,
 )
-from fedchain.tensor import Tape
+from fedchain.tensor import Tape, Tensor
 
 from oracles import finite_difference, max_relative_error
 
@@ -335,3 +335,33 @@ def test_window_step_peak_is_flat_in_depth(kind):
     # the probe still sees depth where the trainable set does grow with L
     full = {L: _step_peak(L, kind, (1, L), "all_adapters") for L in (4, 16)}
     assert full[16] >= 3.0 * full[4], full
+
+
+def _held(obj):
+    """The objects obj holds, looking into tuples, lists and function closures."""
+    if isinstance(obj, (tuple, list)):
+        for o in obj:
+            yield from _held(o)
+    elif callable(obj) and not isinstance(obj, Tensor):
+        for cell in obj.__closure__ or ():
+            yield from _held(cell.cell_contents)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("kind", ["mlp", "attn-lite"])
+def test_the_tape_holds_no_tensor_an_op_made(kind):
+    # desk dims; mlp at window (1, 2), attn-lite training every adapter at (1, L)
+    stack = build_stack(StackDims(L=6, u=32, v=8, C=2, kind=kind, vocab=50), seed=5)
+    window, scheme = ((1, 2), "window") if kind == "mlp" else ((1, 6), "all_adapters")
+    mark_trainable(stack, window, scheme)
+    x, y = _data(seed=6, n=32, t=16, vocab=50, C=2)
+    with Tape() as tape:
+        stage_loss(stack, x, y, window, StageLossConfig(lam=0.2))
+    assert len(tape) == (14 if kind == "mlp" else 20)
+    for i, (refs, grad_fn) in enumerate(tape._nodes):
+        for ref in refs:  # an earlier node's index, a leaf that trains, or nothing
+            assert (ref is None or (type(ref) is int and ref < i)
+                    or (isinstance(ref, Tensor) and ref.node is None and ref.requires_grad))
+        for obj in _held(grad_fn):  # arrays, shapes and flags only
+            assert isinstance(obj, (np.ndarray, int, float, type(None))), type(obj)

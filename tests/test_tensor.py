@@ -524,9 +524,9 @@ def test_fused_block_keeps_only_the_planes_its_backward_reads(kind):
     # a trained layer below makes the block's input require grad; its weights are frozen
     n, u, f = 256, 16, 32  # attention: b=16 rows of t=16 tokens
     leaves, _ = _block_leaves(kind, 35, (True,) + (False,) * 6, n=n, b=16, t=16, u=u, f=f)
-    # the output plus, for mlp: xhat, inv and gelu's slope; for attention: xhat, inv,
-    # q, k^T, v and the [b, t, t] softmax output
-    planes = (2 * n * u + n + n * f) if kind != "attention" else (5 * n * u + n + 16 * 16 * 16)
+    # the dropped output is freed; the node keeps, for mlp: xhat, inv and gelu's slope;
+    # for attention: xhat, inv, q, k^T, v and the [b, t, t] softmax output
+    planes = (n * u + n + n * f) if kind != "attention" else (4 * n * u + n + 16 * 16 * 16)
     tracemalloc.start()
     try:
         with Tape() as tape:
@@ -604,6 +604,60 @@ def test_ops_on_frozen_inputs_are_not_recorded():
     with Tape() as tape:
         mul(x, 2.0)
     assert len(tape) == 0
+
+
+def _fifty_op_chain(keep):
+    """Leaf gradients of a 50-op chain h = op(h); keep holds every intermediate alive.
+    Every fifth op scales by a leaf it makes then, which can take a freed tensor's id.
+    Also returns the id() of each intermediate as it was made."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)) / 2, requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    leaves = [x, w, b]
+
+    def scale(h):
+        leaves.append(Tensor(rng.uniform(0.5, 1.5), requires_grad=True))
+        return mul(h, leaves[-1])
+
+    ops = [lambda h: matmul(h, w), tanh, lambda h: bias_add(h, b), gelu, scale]
+    kept, ids = [], []
+    with Tape() as tape:
+        h = x
+        for i in range(50):
+            h = ops[i % len(ops)](h)
+            ids.append(id(h))
+            if keep:
+                kept.append(h)
+        backward(tape, sum_all(h))
+    return [t.grad for t in leaves], ids
+
+
+def test_adjoint_routing_does_not_depend_on_tensor_identity():
+    dropped, ids = _fifty_op_chain(keep=False)
+    kept, kept_ids = _fifty_op_chain(keep=True)
+    # the dropped intermediates were freed, so later tensors took their ids
+    assert len(set(ids)) < len(ids) and len(set(kept_ids)) == len(kept_ids)
+    assert len(dropped) == len(kept) == 13  # x, w, b and ten scales
+    for got, want in zip(dropped, kept):
+        assert got is not None and np.array_equal(got, want)
+
+
+def test_a_tensor_another_tape_made_is_a_leaf_of_the_tape_that_consumes_it():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape():
+        y = mul(x, 3.0)
+    with Tape() as second:
+        backward(second, sum_all(mul(y, y)))
+    assert np.array_equal(y.grad, 2.0 * y.data) and x.grad is None
+    # nested: y is node 0 of outer and the inner tape's first node is 0 too
+    with Tape() as outer:
+        y = mul(x, 3.0)
+        with Tape() as inner:
+            backward(inner, sum_all(mul(y, 2.0)))
+        assert np.array_equal(y.grad, [2.0, 2.0]) and x.grad is None
+        backward(outer, sum_all(y))
+    assert np.array_equal(x.grad, [3.0, 3.0]) and np.array_equal(y.grad, [2.0, 2.0])
 
 
 # ---------------------------------------------------------------- errors
