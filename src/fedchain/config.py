@@ -1,15 +1,15 @@
 """Experiment configuration: JSON loading, validation, round-tripping.
 
 The dataclasses below are the schema: each field's JSON key, type, default,
-required-ness and nullability come from its declaration, and a field's JSON
-key differs from its name only where its metadata says so.  `null` is
-accepted only where the annotation admits `None`.
+required-ness, nullability and allowed values come from its declaration, and
+a field's JSON key differs from its name only where its metadata says so.
+`null` is accepted only where the annotation admits `None`.
 
 Validation is total and runs in two passes.  The first reports every
 missing, unknown, null or mistyped field with its path (a float field
 must also be finite); once the shapes are right, the second reports every
-range and cross-field violation.  Nothing raises bare KeyErrors or returns
-partial state.
+set field that breaks its declared rule and every rule that relates fields.
+Nothing raises bare KeyErrors or returns partial state.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .chain import StageLossConfig
-from .data import SYNTH_KINDS, synth_dataset
+from .data import DATA_SOURCES, SYNTH_KINDS, synth_dataset
 from .federation import PARTITIONS, RUN_MODES
 from .model import BACKBONE_KINDS, StackDims, build_stack
 
@@ -34,25 +34,45 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n  " + "\n  ".join(self.problems))
 
 
+def _rule(test, says: str) -> dict:
+    """Field metadata: `parse_config` reports `<path>: <says>, got <value>` when a set
+    value fails `test`."""
+    return {"rule": (test, says)}
+
+
+def _at_least(low: int) -> dict:
+    return _rule(lambda x: x >= low, f"must be >= {low}")
+
+
+def _one_of(choices) -> dict:
+    choices = tuple(choices)
+    return _rule(lambda x: x in choices, f"expected one of {choices}")
+
+
+_POSITIVE = _rule(lambda x: x > 0, "must be > 0")
+
+
 @dataclass
 class ModelConfig:
-    L: int
-    u: int
+    L: int = field(metadata=_at_least(1))
+    u: int = field(metadata=_at_least(2))
     v: int
-    kind: str = StackDims.kind
-    ffn: int = StackDims.ffn
-    classes: int | None = None
-    seed: int = _STACK_DEFAULTS["seed"]
-    init_scale: float = _STACK_DEFAULTS["init_scale"]
+    kind: str = field(default=StackDims.kind, metadata=_one_of(BACKBONE_KINDS))
+    ffn: int = field(default=StackDims.ffn,
+                     metadata=_rule(lambda x: x >= 0, "must be >= 0 (0 means 2*u)"))
+    classes: int | None = field(default=None, metadata=_at_least(2))
+    seed: int = field(default=_STACK_DEFAULTS["seed"], metadata=_at_least(0))
+    init_scale: float = field(default=_STACK_DEFAULTS["init_scale"], metadata=_POSITIVE)
 
 
 @dataclass
 class DataConfig:
-    source: str = "synthetic"
+    source: str = field(default="synthetic", metadata=_one_of(DATA_SOURCES))
     kind: str | None = "cluster-tokens"
     M: int = 2000
-    seq_len: int = 16
-    eval_fraction: float = 0.2
+    seq_len: int = field(default=16, metadata=_at_least(1))
+    eval_fraction: float = field(default=0.2, metadata=_rule(lambda x: 0.0 < x < 1.0,
+                                                             "must lie in (0, 1)"))
     vocab: int = _SYNTH_DEFAULTS["vocab"]
     signal: float = _SYNTH_DEFAULTS["signal"]
     path: str | None = None
@@ -61,11 +81,11 @@ class DataConfig:
 
 @dataclass
 class FederationConfig:
-    N: int
-    rounds: int
+    N: int = field(metadata=_at_least(1))
+    rounds: int = field(metadata=_at_least(0))
     sample_count: int
-    partition: str = "dirichlet"
-    alpha: float = 1.0
+    partition: str = field(default="dirichlet", metadata=_one_of(PARTITIONS))
+    alpha: float = field(default=1.0, metadata=_POSITIVE)
     budgets: list[float] | None = None
     Q: int | None = None
 
@@ -76,12 +96,13 @@ class FederationConfig:
 
 @dataclass
 class ChainConfig:
-    lam: float = field(default=StageLossConfig.lam, metadata={"json": "lambda"})
-    T: float | None = None
+    lam: float = field(default=StageLossConfig.lam, metadata={"json": "lambda", **_at_least(0)})
+    T: float | None = field(default=None, metadata=_rule(lambda x: 0.0 < x <= 1.0,
+                                                         "must lie in (0, 1]"))
     L_start: int | None = None
-    lr: float = 0.1
-    local_steps: int = 4
-    batch: int = 32
+    lr: float = field(default=0.1, metadata=_at_least(0))
+    local_steps: int = field(default=4, metadata=_at_least(1))
+    batch: int = field(default=32, metadata=_at_least(1))
 
 
 @dataclass
@@ -96,7 +117,7 @@ class ExperimentConfig:
     data: DataConfig
     federation: FederationConfig
     chain: ChainConfig = field(default_factory=ChainConfig)
-    mode: str = "chainfed"
+    mode: str = field(default="chainfed", metadata=_one_of(RUN_MODES))
     out: OutConfig = field(default_factory=OutConfig)
 
 
@@ -159,6 +180,18 @@ def _parse(cls, raw: dict, path: str, problems: list[str]):
     return cls(**values) if len(problems) == before else None
 
 
+def _rule_problems(cfg, prefix: str = ""):
+    """Every set field of `cfg` (recursively) that fails the rule it declares."""
+    for f in fields(cfg):
+        value, where = getattr(cfg, f.name), prefix + _json_key(f)
+        if is_dataclass(value):
+            yield from _rule_problems(value, where + ".")
+        elif value is not None and "rule" in f.metadata:
+            test, says = f.metadata["rule"]
+            if not test(value):
+                yield f"{where}: {says}, got {value!r}"
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"top level: expected an object, got {type(raw).__name__}"])
@@ -166,27 +199,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     cfg = _parse(ExperimentConfig, dict(raw), "", problems)
     if problems:
         raise ConfigError(problems)
+    problems.extend(_rule_problems(cfg))
     model, data, federation, chain = cfg.model, cfg.data, cfg.federation, cfg.chain
 
-    if model.L < 1:
-        problems.append(f"model.L: must be >= 1, got {model.L}")
-    if model.u < 2:
-        problems.append(f"model.u: must be >= 2, got {model.u}")
     if not 1 <= model.v < max(model.u, 2):
         problems.append(f"model.v: bottleneck must satisfy 1 <= v < u, got v={model.v}, u={model.u}")
-    if model.kind not in BACKBONE_KINDS:
-        problems.append(f"model.kind: expected one of {tuple(BACKBONE_KINDS)}, got {model.kind!r}")
-    if model.ffn < 0:
-        problems.append(f"model.ffn: must be >= 0 (0 means 2*u), got {model.ffn}")
-    if model.classes is not None and model.classes < 2:
-        problems.append(f"model.classes: must be >= 2, got {model.classes}")
-    if model.seed < 0:
-        problems.append(f"model.seed: must be >= 0, got {model.seed}")
-    if model.init_scale <= 0:
-        problems.append(f"model.init_scale: must be > 0, got {model.init_scale}")
 
-    if data.source not in ("synthetic", "file"):
-        problems.append(f"data.source: expected 'synthetic' or 'file', got {data.source!r}")
     if data.source == "synthetic":
         if data.kind not in SYNTH_KINDS:
             problems.append(f"data.kind: expected one of {SYNTH_KINDS}, got {data.kind!r}")
@@ -199,19 +217,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             problems.append("data.path: required when data.source is 'file'")
         if not data.vocab_path:
             problems.append("data.vocab_path: required when data.source is 'file'")
-    if not 0.0 < data.eval_fraction < 1.0:
-        problems.append(f"data.eval_fraction: must lie in (0, 1), got {data.eval_fraction}")
-    if data.seq_len < 1:
-        problems.append(f"data.seq_len: must be >= 1, got {data.seq_len}")
 
-    if federation.N < 1:
-        problems.append(f"federation.N: must be >= 1, got {federation.N}")
-    if federation.rounds < 0:
-        problems.append(f"federation.rounds: must be >= 0, got {federation.rounds}")
-    if federation.partition not in PARTITIONS:
-        problems.append(f"federation.partition: expected one of {PARTITIONS}, got {federation.partition!r}")
-    if federation.alpha <= 0:
-        problems.append(f"federation.alpha: must be > 0, got {federation.alpha}")
     if not 1 <= federation.sample_count <= federation.N:
         problems.append(f"federation.sample_count: must lie in [1, N={federation.N}], got {federation.sample_count}")
     if (federation.budgets is None) == (federation.Q is None):
@@ -225,25 +231,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if federation.Q is not None and not 1 <= federation.Q <= model.L:
         problems.append(f"federation.Q: must lie in [1, L={model.L}], got {federation.Q}")
 
-    if chain.lam < 0:
-        problems.append(f"chain.lambda: must be >= 0, got {chain.lam}")
     if chain.T is not None and chain.L_start is not None:
         problems.append("chain.T / chain.L_start: exactly one may be set")
     if chain.T is None and chain.L_start is None:
         chain.T = DEFAULT_THRESHOLD
-    if chain.T is not None and not 0.0 < chain.T <= 1.0:
-        problems.append(f"chain.T: must lie in (0, 1], got {chain.T}")
     if chain.L_start is not None and not 1 <= chain.L_start <= model.L:
         problems.append(f"chain.L_start: must lie in [1, L={model.L}], got {chain.L_start}")
-    if chain.lr < 0:
-        problems.append(f"chain.lr: must be >= 0, got {chain.lr}")
-    if chain.local_steps < 1:
-        problems.append(f"chain.local_steps: must be >= 1, got {chain.local_steps}")
-    if chain.batch < 1:
-        problems.append(f"chain.batch: must be >= 1, got {chain.batch}")
-
-    if cfg.mode not in RUN_MODES:
-        problems.append(f"mode: expected one of {tuple(RUN_MODES)}, got {cfg.mode!r}")
 
     if problems:
         raise ConfigError(problems)

@@ -14,6 +14,7 @@ import numpy as np
 PAD_ID = 0
 UNK_ID = 1
 SYNTH_KINDS = ("cluster-tokens",)  # what `synth_dataset` generates
+DATA_SOURCES = ("synthetic", "file")  # what `load_dataset_from_config` reads from
 
 
 class DataFormatError(ValueError):
@@ -134,7 +135,8 @@ def train_eval_split(n: int, eval_fraction: float, seed) -> tuple[np.ndarray, np
 
 
 def load_dataset_from_config(data_cfg, model_cfg, seed) -> Dataset:
-    if data_cfg.source == "file":
+    _, file = DATA_SOURCES
+    if data_cfg.source == file:
         return load_jsonl_dataset(data_cfg.path, data_cfg.vocab_path,
                                   data_cfg.seq_len, model_cfg.classes)
     return synth_dataset(data_cfg.kind, data_cfg.M, model_cfg.classes or 2,

@@ -1,7 +1,9 @@
 """Config parsing, synthetic data, JSONL loading, and checkpoint round trips."""
 import builtins
+import dataclasses
 import errno
 import json
+import typing
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ import fedchain.checkpoint
 from fedchain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from fedchain.config import (
     ConfigError,
+    ExperimentConfig,
     config_to_dict,
     load_config,
     parse_config,
@@ -136,6 +139,48 @@ def test_config_field_validation():
 def test_only_the_synthetic_source_checks_signal_and_M():
     parse_config(_raw(data={"source": "file", "path": "d.jsonl", "vocab_path": "v.json",
                             "signal": 0, "M": 0}))
+
+
+# one violating, well-typed value for each field that declares a rule
+RULE_VIOLATIONS = {
+    "model.L": 0, "model.u": 1, "model.kind": "conv", "model.ffn": -1, "model.classes": 1,
+    "model.seed": -1, "model.init_scale": -0.5,
+    "data.source": "s3", "data.seq_len": 0, "data.eval_fraction": 0.0,
+    "federation.N": 0, "federation.rounds": -1, "federation.partition": "sharded",
+    "federation.alpha": 0.0,
+    "chain.lambda": -0.1, "chain.T": 0.0, "chain.lr": -0.1, "chain.local_steps": 0,
+    "chain.batch": 0,
+    "mode": "fedavg",
+}
+
+
+def _declared_rules(cls=ExperimentConfig, path=""):
+    """(JSON path, field) for every field under `cls` whose metadata declares a rule."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("json", f.name)
+        where = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _declared_rules(hints[f.name], where)
+        elif "rule" in f.metadata:
+            yield where, f
+
+
+def test_every_declared_field_rule_is_checked_and_its_default_passes():
+    declared = dict(_declared_rules())
+    assert set(RULE_VIOLATIONS) == set(declared)
+    for where, value in RULE_VIOLATIONS.items():
+        test, _ = declared[where].metadata["rule"]
+        assert not test(value), where
+        section, _, key = where.rpartition(".")
+        raw = _raw(**{section: {key: value}}) if section else _raw(**{key: value})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert any(p.startswith(f"{where}: ") for p in exc.value.problems), exc.value.problems
+    for where, f in declared.items():
+        test, _ = f.metadata["rule"]
+        if f.default is not dataclasses.MISSING and f.default is not None:
+            assert test(f.default), where
 
 
 def test_config_budget_per_client_check():
