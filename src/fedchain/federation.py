@@ -33,7 +33,8 @@ from .model import (
     named_parameters,
     shared_walk,
 )
-from .similarity import CKAProfile, aggregate_profiles, profile_layers, select_start_layer
+from .similarity import CKAProfile, aggregate_profiles, profile_batches, select_start_layer
+from .similarity import profile_layers  # perfbench/tracing.py patches it under this name
 
 # documented accounting assumptions (fp16 weights, Adam-style fp32 moments)
 PRECISION_BYTES = 2
@@ -328,16 +329,16 @@ def profile_clients(exp: Experiment) -> CKAProfile:
     """Each client profiles the first 64 rows of its own shard under its own budget.
 
     CKA needs at least 2 activation rows (samples x tokens), so a client
-    with fewer sits out.
+    with fewer sits out.  On a stack that does not mix tokens the clients
+    share one walk of the frozen stack (similarity.profile_batches).  That
+    is a speed-up of the simulator only, which no device could share:
+    partition_layers still prices each client's own rows.
     """
-    per_client = []
-    for c in exp.clients:
-        take = c.shard[: min(64, len(c.shard))]
-        if len(take) * exp.dataset.seq_len >= 2:
-            per_client.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
-    if not per_client:
+    takes = [(exp.dataset.x[take], c.mem_budget) for c in exp.clients
+             if len(take := c.shard[:64]) * exp.dataset.seq_len >= 2]
+    if not takes:
         raise ValueError("no client holds the 2 activation rows CKA profiling needs")
-    return aggregate_profiles(per_client)
+    return aggregate_profiles(profile_batches(exp.stack, *zip(*takes)))
 
 
 def choose_start_layer(cfg, exp: Experiment, mode: str,

@@ -132,21 +132,44 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
     takes each distinct token id once where it can (model.walk_input); the
     partition and the CKA rows are those of the whole batch.
     """
+    if blocks is not None and [i for blk in blocks for i in blk] != list(range(1, stack.L + 1)):
+        raise ValueError(f"blocks {blocks} do not cover layers 1..{stack.L} in order")
+    return profile_batches(stack, [batch], [None if blocks is not None else mem_budget])[0]
+
+
+def _walk(stack: ModelStack, ids):
+    """The embedded ids, then each layer's output in turn."""
+    h = stack.embed(ids)
+    yield h
+    for i in range(1, stack.L + 1):
+        h = apply_layers(stack, h, i, i)
+        yield h
+
+
+def profile_batches(stack: ModelStack, batches, budgets) -> list[CKAProfile]:
+    """profile_layers of each batch under its budget (None: no budget).
+
+    Every budget is checked before any layer runs.  Where walk_input takes
+    distinct ids, the batches, which share seq_len, share one walk of their
+    union that keeps each layer's [k, 1, u] output: a row of a walk of k >= 2
+    rows is bitwise that row of any other, so each profile is bitwise that of
+    its own walk.  A stack that mixes tokens walks each batch itself.  The
+    batches are centred and scored one at a time.
+    """
+    for batch, budget in zip(batches, budgets, strict=True):
+        if budget is not None:
+            partition_layers(stack, np.size(batch), budget)
     with no_grad():
-        ids, slot = walk_input(stack, batch)
-        h = stack.embed(ids)
-        z0 = _centered(_flat_rows(gather_rows(h, slot, batch)))
-        n_rows = z0[0].shape[0]
-        layers = list(range(1, stack.L + 1))
-        if blocks is None and mem_budget is not None:
-            blocks = partition_layers(stack, n_rows, mem_budget)
-        if blocks is not None and [i for blk in blocks for i in blk] != layers:
-            raise ValueError(f"blocks {blocks} do not cover layers 1..{stack.L} in order")
-        scores: list[float] = []
-        for i in layers:
-            h = apply_layers(stack, h, i, i)
-            scores.append(_cka_centered(*_centered(_flat_rows(gather_rows(h, slot, batch))), *z0))
-    return CKAProfile(scores=scores, sample_weight=n_rows)
+        ids, slot = walk_input(stack, np.concatenate(batches))
+        shared = None if slot is None else list(_walk(stack, ids))
+        profiles = []
+        for batch in batches:
+            walk = _walk(stack, batch) if shared is None else iter(shared)
+            z0 = _centered(_flat_rows(gather_rows(next(walk), slot, batch)))
+            scores = [_cka_centered(*_centered(_flat_rows(gather_rows(h, slot, batch))), *z0)
+                      for h in walk]
+            profiles.append(CKAProfile(scores=scores, sample_weight=z0[0].shape[0]))
+    return profiles
 
 
 def aggregate_profiles(profiles: list[CKAProfile]) -> CKAProfile:

@@ -8,22 +8,30 @@ import pytest
 from fedchain import chain, federation, similarity
 from fedchain.chain import StageLossConfig, WindowSchedule, stage_loss
 from fedchain.config import parse_config
+from fedchain.data import Dataset
 from fedchain.model import (
     FrozenWalk,
     MlpLayer,
     StackDims,
+    adapter_param_count,
     apply_layers,
     build_stack,
     end_to_end_loss,
     evaluate_accuracy,
     forward_through,
     gather_rows,
+    layer_param_count,
     mark_trainable,
     named_parameters,
     shared_walk,
     walk_input,
 )
-from fedchain.similarity import partition_layers, profile_layers
+from fedchain.similarity import (
+    DegenerateSimilarity,
+    aggregate_profiles,
+    partition_layers,
+    profile_layers,
+)
 from fedchain.tensor import NumericError, Tape, no_grad
 
 from oracles import forward_through_per_row
@@ -145,6 +153,98 @@ def test_a_nan_backbone_weight_still_raises(layer):
     mark_trainable(stack, (6, 6))  # layer 6's backbone runs in the frozen walk too
     with Tape(), pytest.raises(NumericError):
         forward_through(stack, x, upto=6)
+
+
+# ------------------------------------------------- phase 1: every client's profile
+
+
+def _layer_cost(dims):
+    return 8 * (layer_param_count(dims) + adapter_param_count(dims))
+
+
+def _profiling_experiment(dims, seq_len, one_id=False):
+    """Eight Dirichlet(0.3) shards plus a one-row shard, which sits out at
+    seq_len 1; budgets split the layers into blocks of 1 to 3, or leave them
+    whole.  With one_id, the smallest shard of 2 or more rows holds one token id."""
+    rng = np.random.default_rng(31)
+    x = rng.integers(0, dims.vocab, size=(600, seq_len))
+    y = np.arange(600) % 2
+    shards = federation.dirichlet_partition(y, 8, 0.3, 32)
+    assert any(2 <= len(s) < 64 for s in shards) and any(len(s) > 64 for s in shards)
+    if one_id:
+        x[min((s for s in shards if len(s) >= 2), key=len)] = 7
+    clients = []
+    for i, shard in enumerate([*shards, shards[0][:1]]):
+        n_rows = min(64, len(shard)) * seq_len
+        budget = 2 * n_rows * dims.u * 8 + (i % 3 + 1) * _layer_cost(dims) + 8
+        clients.append(federation.ClientProfile(None if i % 4 == 3 else budget, shard))
+    return federation.Experiment(Dataset(x, y, C=2, vocab=dims.vocab), build_stack(dims, seed=9),
+                                 np.arange(0), clients)
+
+
+def _per_client_profile(exp):
+    """The per-client loop: each client's own profile_layers call, then the mean."""
+    profiles = []
+    for c in exp.clients:
+        take = c.shard[:64]
+        if len(take) * exp.dataset.seq_len >= 2:
+            profiles.append(profile_layers(exp.stack, exp.dataset.x[take], c.mem_budget))
+    return aggregate_profiles(profiles)
+
+
+ATTN = StackDims(L=6, u=32, v=8, C=2, kind="attn-lite", vocab=50)
+PROFILED = pytest.mark.parametrize("dims", [DESK, DEEP, ATTN], ids=["desk", "deep", "attn-lite"])
+
+
+@pytest.mark.parametrize("seq_len", [1, 16])
+@PROFILED
+def test_profile_clients_is_the_per_client_profile_bitwise(dims, seq_len):
+    exp = _profiling_experiment(dims, seq_len)
+    takes = [c.shard[:64] for c in exp.clients]
+    assert any(len(t) < 64 for t in takes[:-1]) and len(takes[-1]) == 1
+    split = [c for c in exp.clients if c.mem_budget is not None and len(c.shard) * seq_len >= 2]
+    assert split and all(len(partition_layers(exp.stack, min(64, len(c.shard)) * seq_len,
+                                              c.mem_budget)) > 1 for c in split)
+    got, want = federation.profile_clients(exp), _per_client_profile(exp)
+    assert got.scores == want.scores  # == on floats: bitwise, no tolerance
+    assert got.sample_weight == want.sample_weight
+    # at seq_len 1 the one-row shard's single token row sits out
+    assert got.sample_weight == sum(len(t) for t in takes) * seq_len - (seq_len == 1)
+
+
+@PROFILED
+def test_a_one_id_client_raises_as_its_own_profile_does(dims):
+    # one id's rows have no spread, whether walked as its own two rows or read from the union
+    exp = _profiling_experiment(dims, 16, one_id=True)
+    with pytest.raises(DegenerateSimilarity) as got:
+        federation.profile_clients(exp)
+    with pytest.raises(DegenerateSimilarity) as want:
+        _per_client_profile(exp)
+    assert str(got.value) == str(want.value)
+
+
+def test_profile_clients_walks_each_layer_once_on_the_union(monkeypatch):
+    exp = _profiling_experiment(DEEP, 16)
+    k = len(np.unique(np.concatenate([exp.dataset.x[c.shard[:64]] for c in exp.clients])))
+    assert 1 < k < 64 * 16
+    seen = _rows_seen(monkeypatch, exp.stack)
+    federation.profile_clients(exp)
+    assert seen == {i: [k] for i in seen}
+
+
+def test_a_client_budget_below_the_floor_raises_before_any_layer_runs(monkeypatch):
+    exp = _profiling_experiment(DESK, 16)
+    last = exp.clients[-1]
+    n_rows = min(64, len(last.shard)) * 16
+    last.mem_budget = 2 * n_rows * DESK.u * 8 + _layer_cost(DESK) - 1
+    with pytest.raises(ValueError) as floor:
+        partition_layers(exp.stack, n_rows, last.mem_budget)
+    seen = _rows_seen(monkeypatch, exp.stack)
+    with pytest.raises(ValueError) as raised:
+        federation.profile_clients(exp)
+    assert str(raised.value) == str(floor.value)
+    assert "single-layer floor" in str(raised.value)
+    assert seen == {i: [] for i in seen}
 
 
 # ---------------------------------------------------------------- training steps
