@@ -12,6 +12,7 @@ runs the same set-up and phase 1.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -287,7 +288,7 @@ class Experiment:
 
 def load_dataset(cfg) -> Dataset:
     """The dataset a config names, drawn from the experiment seed."""
-    from .data import load_dataset_from_config
+    from .data import load_dataset_from_config  # per call: perfbench/tracing.py patches fedchain.data
 
     return load_dataset_from_config(cfg.data, cfg.model, [cfg.model.seed, _TAG_DATA])
 
@@ -358,17 +359,20 @@ def choose_start_layer(cfg, exp: Experiment, mode: str,
 
 
 def window_size(cfg, dims: StackDims, seq_len: int, mode: str, L_start: int) -> int:
-    """Phase 1: the one Q all devices share, sized for the tightest budget."""
+    """Phase 1: the one Q all devices share, sized for the tightest budget.
+
+    no_dlct checks the budgets as chainfed does, then trains Q = 1; a
+    baseline trains its whole span whatever the budgets."""
     span = dims.L - L_start + 1
     keeps = RUN_MODES[mode]
     if keeps.scheme != "window":  # a baseline trains the whole span as its one window
         return span
-    if not keeps.dlct:
-        return 1
     if cfg.federation.Q is not None:
-        return min(cfg.federation.Q, span)
-    return determine_Q(min(cfg.federation.budgets), dims, cfg.chain.batch, seq_len,
-                       L_start=L_start)
+        Q = min(cfg.federation.Q, span)
+    else:  # raises where the tightest budget is below the Q=1 peak, for no_dlct too
+        Q = determine_Q(min(cfg.federation.budgets), dims, cfg.chain.batch, seq_len,
+                        L_start=L_start)
+    return Q if keeps.dlct else 1
 
 
 def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
@@ -389,6 +393,9 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
     mode = mode or cfg.mode
     if mode not in RUN_MODES:
         raise ValueError(f"unknown run mode {mode!r}")
+    folder = os.path.dirname(os.fspath(checkpoint_path or "")) or "."
+    if checkpoint_path and not os.path.isdir(folder):  # found before round 1, not after the last
+        raise FileNotFoundError(f"checkpoint directory {folder} does not exist")
     exp = setup(cfg, dataset)
     L_start, profile = choose_start_layer(cfg, exp, mode)
     Q = window_size(cfg, exp.stack.dims, exp.dataset.seq_len, mode, L_start)
@@ -446,7 +453,7 @@ def run(cfg, dataset=None, mode: str | None = None, metrics_path=None,
             sink.close()
 
     if checkpoint_path:
-        from .checkpoint import save_checkpoint
+        from .checkpoint import save_checkpoint  # per call: perfbench/tracing.py patches fedchain.checkpoint
 
         save_checkpoint(stack, checkpoint_path)
     return RunResult(records=records, stack=stack, L_start=L_start, Q=Q, profile=profile)

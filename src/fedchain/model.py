@@ -260,15 +260,33 @@ def _apply(stack: ModelStack, h: Tensor, start: int, stop: int) -> Tensor:
     return h
 
 
-def apply_layers(stack: ModelStack, h: Tensor, lo: int, hi: int) -> Tensor:
-    """Layers lo..hi, each as backbone-then-adapter, on h (the output of layer lo-1).
+def layer_rows(stack: ModelStack, batches):
+    """Per batch in order, an iterator over its [b*t, u] hidden rows at the
+    embedding and after each layer 1..L, as arrays.  Records nothing on a tape,
+    and the no_grad block closes before each yield, so a suspended walk leaves
+    the caller's tape active.
 
-    Training, eval and CKA profiling all run their modules through _apply.
-    lo = hi + 1 applies nothing.
+    Where walk_input takes distinct ids, the batches, which share seq_len,
+    share one walk of their union, kept layer by layer as [k, 1, u]; a batch
+    reads its rows back through the id->row map, bitwise its own walk's.  A
+    stack that mixes tokens walks each batch itself, one layer at a time.
     """
-    if not 1 <= lo <= hi + 1 <= stack.L + 1:
-        raise ValueError(f"layers {lo}..{hi} not within 1..{stack.L}")
-    return _apply(stack, h, 2 * (lo - 1), 2 * hi)
+    def walk(x):
+        h = stack.embed(x)
+        yield h
+        for depth in range(2, 2 * stack.L + 1, 2):
+            with no_grad():
+                h = _apply(stack, h, depth - 2, depth)
+            yield h
+
+    def rows(hs, x):
+        for h in hs:
+            yield gather_rows(h, slot, x).data.reshape(-1, stack.dims.u)
+
+    ids, slot = walk_input(stack, np.concatenate(batches))
+    shared = None if slot is None else list(walk(ids))
+    for x in batches:
+        yield rows(walk(x) if shared is None else shared, x)
 
 
 def _frozen_depth(stack: ModelStack, upto: int) -> int:
@@ -355,8 +373,9 @@ def walk_input(stack: ModelStack, x) -> tuple[object, np.ndarray | None]:
     """What a no-grad walk of the stack embeds in place of x, and the id->row map
     that reads a batch's rows back from it (`gather_rows`).
 
-    Eval and CKA profiling walk the whole stack this way, a FrozenWalk the
-    frozen modules of a training step.
+    Eval (a FrozenWalk of every module) and CKA profiling (layer_rows) walk
+    the whole stack this way, a FrozenWalk the frozen modules of a training
+    step.
 
     Where no layer mixes tokens, a token row's hidden state at every layer
     is a function of its id alone.  The walk then embeds each distinct id of

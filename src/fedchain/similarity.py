@@ -12,15 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import (
-    ModelStack,
-    adapter_param_count,
-    apply_layers,
-    gather_rows,
-    layer_param_count,
-    walk_input,
-)
-from .tensor import Tensor, no_grad
+from .model import ModelStack, adapter_param_count, layer_param_count, layer_rows
 
 HSIC_FLOOR = 1e-15
 
@@ -116,11 +108,6 @@ def partition_layers(stack: ModelStack, n_rows: int, mem_budget: float) -> list[
     return [list(range(lo, min(lo + k, stack.L + 1))) for lo in range(1, stack.L + 1, k)]
 
 
-def _flat_rows(h: Tensor) -> np.ndarray:
-    b, t, u = h.shape
-    return h.data.reshape(b * t, u)
-
-
 def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
                    blocks: list[list[int]] | None = None) -> CKAProfile:
     """One-time inference profile of CKA(layer output, embedded input).
@@ -128,47 +115,31 @@ def profile_layers(stack: ModelStack, batch, mem_budget: float | None = None,
     The memory budget splits the layers into blocks (partition_layers, which
     raises below the one-layer floor), or `blocks` gives them.  Only a
     layer's hidden state carries to the next, so the walk runs layer by layer
-    whatever the partition, and the profile is independent of it.  The walk
-    takes each distinct token id once where it can (model.walk_input); the
-    partition and the CKA rows are those of the whole batch.
+    whatever the partition, and the profile is independent of it.  The rows
+    come from model.layer_rows; the partition and the CKA rows are those of
+    the whole batch.
     """
     if blocks is not None and [i for blk in blocks for i in blk] != list(range(1, stack.L + 1)):
         raise ValueError(f"blocks {blocks} do not cover layers 1..{stack.L} in order")
     return profile_batches(stack, [batch], [None if blocks is not None else mem_budget])[0]
 
 
-def _walk(stack: ModelStack, ids):
-    """The embedded ids, then each layer's output in turn."""
-    h = stack.embed(ids)
-    yield h
-    for i in range(1, stack.L + 1):
-        h = apply_layers(stack, h, i, i)
-        yield h
-
-
 def profile_batches(stack: ModelStack, batches, budgets) -> list[CKAProfile]:
     """profile_layers of each batch under its budget (None: no budget).
 
-    Every budget is checked before any layer runs.  Where walk_input takes
-    distinct ids, the batches, which share seq_len, share one walk of their
-    union that keeps each layer's [k, 1, u] output: a row of a walk of k >= 2
-    rows is bitwise that row of any other, so each profile is bitwise that of
-    its own walk.  A stack that mixes tokens walks each batch itself.  The
-    batches are centred and scored one at a time.
+    Every budget is checked before any layer runs.  model.layer_rows gives
+    each batch's rows layer by layer, bitwise those of the batch's own walk
+    however it shares the walk; the batches are centred and scored one at a
+    time.
     """
     for batch, budget in zip(batches, budgets, strict=True):
         if budget is not None:
             partition_layers(stack, np.size(batch), budget)
-    with no_grad():
-        ids, slot = walk_input(stack, np.concatenate(batches))
-        shared = None if slot is None else list(_walk(stack, ids))
-        profiles = []
-        for batch in batches:
-            walk = _walk(stack, batch) if shared is None else iter(shared)
-            z0 = _centered(_flat_rows(gather_rows(next(walk), slot, batch)))
-            scores = [_cka_centered(*_centered(_flat_rows(gather_rows(h, slot, batch))), *z0)
-                      for h in walk]
-            profiles.append(CKAProfile(scores=scores, sample_weight=z0[0].shape[0]))
+    profiles = []
+    for rows in layer_rows(stack, batches):
+        z0 = _centered(next(rows))
+        scores = [_cka_centered(*_centered(z), *z0) for z in rows]
+        profiles.append(CKAProfile(scores=scores, sample_weight=z0[0].shape[0]))
     return profiles
 
 

@@ -7,6 +7,7 @@ than only in the harness's own smoke check.
 """
 import dataclasses
 import importlib.util
+import json
 import inspect
 import sys
 import typing
@@ -117,6 +118,36 @@ def test_tracer_counts_the_released_layers_of_a_step(scheme, window, released):
         tracer.restore()
     assert tracer.counts["model.prefix_layer_rows"] == released * len(x)
     assert tracer.counts["model.window_layer_rows"] == (window[1] - released) * len(x)
+
+
+def test_a_traced_cli_run_reaches_every_hook_on_its_path(tmp_path):
+    # federation imports load_dataset_from_config and save_checkpoint per call; hoisting
+    # either import would hide it from its patch and zero data.rows or checkpoint.bytes
+    tracing = _load("tracing")
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "model": {"L": 4, "u": 8, "v": 2, "seed": 3},
+        "data": {"kind": "cluster-tokens", "M": 60, "seq_len": 4, "vocab": 13},
+        "federation": {"N": 3, "rounds": 2, "partition": "iid", "sample_count": 2, "Q": 2},
+        "chain": {"lambda": 0.2, "L_start": 1, "lr": 0.05, "local_steps": 1, "batch": 8},
+    }))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = fedchain.cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "m.jsonl"),
+                                  "--checkpoint", str(tmp_path / "ck")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    windows = [json.loads(line)["window"] for line in (tmp_path / "m.jsonl").read_text().splitlines()]
+    assert windows == [[1, 2], [2, 3]]  # neither window ends at layer L: the aux branch runs
+    ops = ("matmul", "bias_add", "mean", "softmax_cross_entropy", "add", "mul")
+    assert {span[0] for span in tracer.spans} == {
+        "config.parse", "federation.run", "data.load", "model.build", "federation.partition",
+        "federation.sample", "chain.local_update", "chain.stage_loss", "model.forward_through",
+        "model.aux_branch", "tensor.backward", "federation.aggregate", "model.eval",
+        "checkpoint.save", *(f"tensor.op.{op}" for op in ops)}
+    assert tracer.counts["data.rows"] > 0 and tracer.counts["checkpoint.bytes"] > 0
 
 
 @pytest.mark.parametrize("tiny", [False, True])

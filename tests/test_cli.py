@@ -345,7 +345,7 @@ def test_a_bad_seed_or_signal_exits_2_naming_the_field(config_path, tmp_path, ca
         assert "model.seed: must be >= 0" in capsys.readouterr().err
 
 
-def test_missing_files_exit_4(config_path, tmp_path, capsys):
+def test_missing_files_exit_4(config_path, tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "nowhere.json")]) == EXIT_IO
     raw = json.loads(config_path.read_text())
     raw["data"] = {"source": "file", "path": str(tmp_path / "missing.jsonl"),
@@ -355,6 +355,32 @@ def test_missing_files_exit_4(config_path, tmp_path, capsys):
     assert main(["run", "--config", str(cfg2)]) == EXIT_IO
     err = capsys.readouterr().err
     assert "i/o failure" in err
+    # a checkpoint in a missing directory fails before round 1, not after the last
+    updates = []
+    monkeypatch.setattr(fedchain.federation, "local_update", lambda *a, **k: updates.append(a))
+    metrics = tmp_path / "metrics.jsonl"
+    assert main(["run", "--config", str(config_path), "--out", str(metrics),
+                 "--checkpoint", str(tmp_path / "missing" / "ck")]) == EXIT_IO
+    assert "i/o failure: checkpoint directory" in capsys.readouterr().err
+    assert updates == [] and not metrics.exists()
+
+
+@pytest.mark.parametrize("mode", list(RUN_MODES))
+def test_every_windowed_mode_checks_the_budgets(config_path, capsys, mode):
+    # the fourth device cannot hold even a one-layer window; a baseline ignores budgets
+    raw = json.loads(config_path.read_text())
+    raw["model"].update(L=4, v=2)
+    raw["federation"] = {"N": 4, "rounds": 1, "partition": "iid", "sample_count": 2,
+                         "budgets": [1e9, 1e9, 1e9, 3000]}
+    config_path.write_text(json.dumps(raw))
+    argv = ["--config", str(config_path)]
+    code = main(["run", *argv] if mode == "chainfed" else ["baseline", "--mode", mode, *argv])
+    err = capsys.readouterr().err
+    if RUN_MODES[mode].scheme == "window":
+        assert code == EXIT_CONFIG
+        assert err == "fedchain: budget 3000 is below the Q=1 peak; this device cannot participate\n"
+    else:
+        assert code == EXIT_OK, err
 
 
 @pytest.mark.parametrize("bad", ["data", "vocab", "config"])

@@ -14,13 +14,12 @@ from fedchain.model import (
     MlpLayer,
     StackDims,
     adapter_param_count,
-    apply_layers,
     build_stack,
     end_to_end_loss,
     evaluate_accuracy,
     forward_through,
-    gather_rows,
     layer_param_count,
+    layer_rows,
     mark_trainable,
     named_parameters,
     shared_walk,
@@ -32,7 +31,7 @@ from fedchain.similarity import (
     partition_layers,
     profile_layers,
 )
-from fedchain.tensor import NumericError, Tape, no_grad
+from fedchain.tensor import NumericError, Tape, active_tape, no_grad
 
 from oracles import forward_through_per_row
 
@@ -56,14 +55,30 @@ def test_distinct_walk_is_the_per_row_forward_bitwise():
     ids, slot = walk_input(stack, x)
     assert ids.shape == (50, 1) and slot.shape == (DESK.vocab,)  # one row per id of the vocab
     with no_grad():
-        got = gather_rows(apply_layers(stack, stack.embed(ids), 1, stack.L), slot, x)
         want, _ = forward_through(stack, x)
-        assert np.array_equal(got.data, want.data)
-        got_logits = stack.final_head.logits(got).data
-        want_logits = stack.final_head.logits(want).data
-    assert np.array_equal(got_logits, want_logits)
     labels = np.random.default_rng(1).integers(0, 2, size=400)
-    assert evaluate_accuracy(stack, x, labels) == float((want_logits.argmax(axis=1) == labels).mean())
+    want_pred = stack.final_head.logits(want).data.argmax(axis=1)
+    assert evaluate_accuracy(stack, x, labels) == float((want_pred == labels).mean())
+    # profiling's rows: batches of at least 2 token rows sharing one walk, one of them a
+    # single id; attn-lite walks each batch itself
+    attn = build_stack(StackDims(L=3, u=8, v=2, C=2, kind="attn-lite", vocab=13), seed=1)
+    cases = [(stack, [x[:7], np.full((3, 16), 7), _tokens(2, 1), x[7:40]]),
+             (attn, [_tokens(5, 6, t=4, vocab=13), np.full((2, 4), 3), _tokens(6, 1, t=4, vocab=13)])]
+    for s, batches in cases:
+        mark_trainable(s, scheme="all_adapters")  # an adapter that records if the walk lets it
+        wants = [[forward_through_per_row(s, b, upto=i)[0].data.reshape(-1, s.dims.u)
+                  for i in range(s.L + 1)] for b in batches]
+        with Tape() as tape:
+            walks = layer_rows(s, batches)
+            for batch_wants, rows in zip(wants, walks, strict=True):
+                got = []
+                for r in rows:
+                    assert active_tape() is tape  # a suspended walk holds no no_grad open
+                    got.append(r)
+                assert len(got) == len(batch_wants)
+                for layer, (g, w) in enumerate(zip(got, batch_wants)):
+                    assert np.array_equal(g, w), layer
+        assert len(tape) == 0
 
 
 @pytest.mark.parametrize("dims", [DESK, DEEP], ids=["desk", "deep"])

@@ -26,6 +26,17 @@ def test_the_package_imports_only_the_standard_library_numpy_and_itself():
     assert not outside
 
 
+def test_similarity_reads_layer_rows_and_no_walk_helper():
+    # the id->row map and the no-grad walk stay behind model.layer_rows
+    tree = ast.parse((PACKAGE / "similarity.py").read_text(encoding="utf-8"))
+    relative = [(node.module, {alias.name for alias in node.names}) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert "tensor" not in {module for module, _ in relative}
+    from_model = set().union(*(names for module, names in relative if module == "model"))
+    assert "layer_rows" in from_model
+    assert not from_model & {"walk_input", "gather_rows", "FrozenWalk", "shared_walk", "_apply"}
+
+
 # walk_input and dirichlet_partition avoid np.unique, which imports numpy.ma
 TINY_RUN = """
 import sys
